@@ -5,8 +5,11 @@
 // workload with nym churn (terminate + replace). This is the harness for
 // the incremental hot paths (docs/performance.md): KSM delta scans,
 // dirty-driven fair-share rescheduling, and the event-loop node pool.
+// Every point, serial or threaded, is one ShardedFleet run (src/core/fleet.h)
+// with the FleetOptions defaults; the serial series runs it at
+// ShardPlan{1, 1}.
 //
-// Usage:
+// Usage (--help prints it; an unknown flag or bad value exits 2):
 //   scale_fleet [--n=8,64,256,1024] [--mode=both|incremental|full]
 //               [--full-recompute] [--out=BENCH_scale.json] [--seed=13]
 //               [--threads=1,8] [--shards=8] [--topology=isolated|crossed]
@@ -24,9 +27,10 @@
 // path) and each threaded point records "trace_encode_ms" (trace
 // serialization cost); tools/bench_diff.py gates both warn-only.
 //
-// --mode=both (default) runs every N in both modes and reports the
-// wall-clock speedup; --full-recompute is shorthand for --mode=full (the
-// pre-incremental recompute-the-world reference). Virtual-time results are
+// --mode=both (default) runs every N in both modes (FleetOptions::
+// full_recompute false/true) and reports the wall-clock speedup;
+// --full-recompute is shorthand for --mode=full (the pre-incremental
+// recompute-the-world reference). Virtual-time results are
 // mode-independent: the incremental paths are exact, so a --trace-out from
 // an incremental run is byte-identical to one from a full run (asserted by
 // tests/determinism_test.cc).
@@ -51,53 +55,36 @@
 // every thread count of that n. Threaded rows gain "topology",
 // "cloud_fetches" and the parallel.* executor columns (barrier_wait_ms,
 // shard_skew_events, outbox_depth).
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_stats.h"
 #include "src/core/fleet.h"
-#include "src/core/nym_manager.h"
 #include "src/crypto/sha256.h"
 #include "src/store/file_io.h"
 #include "src/store/image_checkpoint.h"
 #include "src/store/kv_store.h"
 #include "src/util/thread_pool.h"
-#include "src/workload/website.h"
 
 using namespace nymix;
 
 namespace {
 
-constexpr int kNymsPerHost = 8;
-constexpr int kVisitsPerGeneration = 2;
-constexpr int kGenerations = 2;  // one churn (terminate + replace) per slot
-
-// One host cluster: a 16 GB machine, its own test Tor deployment, and a
-// destination site. Per-cluster Tor keeps flow competition host-local (the
-// real contention is each host's 10 Mbit uplink anyway) instead of welding
-// the whole fleet into one connected component.
-struct Cluster {
-  std::unique_ptr<HostMachine> host;
-  std::unique_ptr<TorNetwork> tor;
-  std::unique_ptr<NymManager> manager;
-  std::unique_ptr<Website> site;
-};
-
-struct SlotState {
-  Nym* nym = nullptr;
-  int visits_done = 0;
-  int generation = 0;
-  bool finished = false;
-};
-
+// One measured fleet run, serial or threaded. Every run fills every field;
+// WriteJson emits the serial columns for the incremental/full series and
+// the threaded columns for the threaded one.
 struct PointResult {
   int n = 0;
+  int shards = 0;
+  int threads = 0;
   double wall_seconds = 0;
   uint64_t events = 0;
   double events_per_sec = 0;
@@ -111,21 +98,10 @@ struct PointResult {
   uint64_t ksm_memories_skipped = 0;
   uint64_t ksm_pages_sharing = 0;
   double checkpoint_restore_ms = 0;
-};
 
-struct ThreadedPointResult {
-  int n = 0;
-  int shards = 0;
-  int threads = 0;
-  double wall_seconds = 0;
-  uint64_t events = 0;
-  double events_per_sec = 0;
   uint64_t epochs = 0;
   uint64_t cross_deliveries = 0;
   uint64_t cloud_fetches = 0;
-  uint64_t visits = 0;
-  uint64_t churns = 0;
-  uint64_t ksm_pages_sharing = 0;
   uint64_t fleet_pages_sharing = 0;
   uint64_t cross_host_extra_sharing = 0;
   // parallel.* executor self-metrics (see sharded_sim.h) — wall-clock and
@@ -133,10 +109,10 @@ struct ThreadedPointResult {
   double barrier_wait_ms = 0;
   double shard_skew_events = 0;
   double outbox_depth = 0;
+  // Set only for observed runs.
   std::string trace_sha256;
   std::string stats_sha256;
   double trace_encode_ms = 0;
-  double checkpoint_restore_ms = 0;
 };
 
 // Warm-start context: the deterministic image checkpoint store, loaded
@@ -193,55 +169,66 @@ ShardPlacement CalibratePlacement(int n, int shards, uint64_t seed) {
   return BalancedPlacement(fleet.HostWeights(), shards, seed);
 }
 
-// One sharded-executor run. Observability is always attached here (wall
-// clock off): the per-point digests ARE the byte-identity check, so the
-// threaded series measures obs-attached throughput — both thread counts
-// pay the same cost, which is what the speedup ratio needs.
-ThreadedPointResult RunThreadedPoint(BenchStats& stats, int n, int shards, int threads,
-                                     uint64_t seed, WarmStart* warm, bool crossed,
-                                     const ShardPlacement& placement) {
-  FleetOptions options;
-  options.nym_count = n;
-  if (crossed) {
-    options.topology = FleetTopology::kCrossed;
-    options.placement = placement;
-  }
+// One fleet run through the sharded executor. Serial points run at
+// ShardPlan{1, 1} with options.full_recompute selecting the mode and
+// observe only when --stats-out/--trace-out ask for it (tracing changes the
+// per-event work, so headline throughput is measured without it).
+// Threaded points always observe (wall clock off): the per-point digests
+// ARE the byte-identity check, and both thread counts pay the same cost,
+// which is what the speedup ratio needs.
+PointResult RunPoint(BenchStats& stats, FleetOptions options, ShardPlan plan, uint64_t seed,
+                     WarmStart* warm, bool observe) {
   double restore_ms = 0;
   if (warm != nullptr && warm->enabled) {
-    restore_ms = AcquireWarmImages(*warm, shards, options.images);
+    restore_ms = AcquireWarmImages(*warm, plan.shards, options.images);
   }
   // nymlint:allow(determinism-wallclock): wall-clock throughput is the measurement; it never feeds virtual time
   auto wall_start = std::chrono::steady_clock::now();
-  ShardedSimulation sharded(seed, ShardPlan{shards, threads});
-  sharded.EnableObservability(/*record_wall_time=*/false);
+  ShardedSimulation sharded(seed, plan);
+  if (observe) {
+    sharded.EnableObservability(/*record_wall_time=*/false);
+  }
   ShardedFleet fleet(sharded, options, seed);
   fleet.Run();
   // nymlint:allow(determinism-wallclock): wall-clock throughput is the measurement; it never feeds virtual time
   auto wall_end = std::chrono::steady_clock::now();
-  sharded.MergeObservability();
 
-  ThreadedPointResult result;
-  result.n = n;
-  result.shards = shards;
+  PointResult result;
+  result.n = options.nym_count;
+  result.shards = plan.shards;
   result.threads = sharded.thread_count();
   result.wall_seconds = std::chrono::duration<double>(wall_end - wall_start).count();
   result.events = fleet.events_executed();
   result.events_per_sec =
       result.wall_seconds > 0 ? static_cast<double>(result.events) / result.wall_seconds : 0;
+  SimTime end = 0;
+  for (int s = 0; s < sharded.shard_count(); ++s) {
+    end = std::max(end, sharded.shard(s).now());
+  }
+  result.sim_seconds = static_cast<double>(end) / 1e6;
+  result.visits = fleet.visits();
+  result.churns = fleet.churns();
+  result.waterfills_full = fleet.waterfills_full();
+  result.waterfills_component = fleet.waterfills_component();
+  result.waterfill_skips = fleet.waterfill_skips();
+  result.ksm_memories_merged = fleet.ksm_memories_merged();
+  result.ksm_memories_skipped = fleet.ksm_memories_skipped();
+  result.ksm_pages_sharing = fleet.ksm_pages_sharing();
+  result.checkpoint_restore_ms = restore_ms;
   result.epochs = sharded.epochs();
   result.cross_deliveries = sharded.cross_deliveries();
   result.cloud_fetches = fleet.cloud_fetches();
   result.barrier_wait_ms = sharded.barrier_wait_ms_mean();
   result.shard_skew_events = sharded.shard_skew_events_mean();
   result.outbox_depth = sharded.outbox_depth_max();
-  result.visits = fleet.visits();
-  result.churns = fleet.churns();
-  result.ksm_pages_sharing = fleet.ksm_pages_sharing();
   FleetKsmStats fleet_ksm = fleet.ReconcileKsm();
   result.fleet_pages_sharing = fleet_ksm.pages_sharing;
   result.cross_host_extra_sharing = fleet_ksm.cross_host_extra_sharing();
+  if (!observe) {
+    return result;
+  }
 
-  result.checkpoint_restore_ms = restore_ms;
+  sharded.MergeObservability();
   // nymlint:allow(determinism-wallclock): serialization cost is the trace_encode_ms measurement
   auto encode_start = std::chrono::steady_clock::now();
   result.trace_sha256 = HexDigest(Sha256::Hash(sharded.merged().trace.ToChromeJson()));
@@ -272,163 +259,9 @@ ThreadedPointResult RunThreadedPoint(BenchStats& stats, int n, int shards, int t
   return result;
 }
 
-class Fleet {
- public:
-  // `image` null means cold-build; a warm start passes a restored image.
-  Fleet(Simulation& sim, int nym_count, uint64_t seed, bool full_recompute,
-        std::shared_ptr<BaseImage> image = nullptr)
-      : sim_(sim), nym_count_(nym_count), think_prng_(seed ^ 0x5ca1e) {
-    sim_.flows().set_full_recompute(full_recompute);
-    int hosts = (nym_count + kNymsPerHost - 1) / kNymsPerHost;
-    TorNetwork::Config tor_config;
-    tor_config.relay_count = 6;
-    tor_config.guard_count = 2;
-    tor_config.exit_count = 2;
-    // One distribution image for the whole fleet, like every host booting
-    // from a copy of the same Nymix release stick. Sharing the object also
-    // shares the memoized whole-image Merkle verification across hosts.
-    if (image == nullptr) {
-      image = BaseImage::CreateDistribution(kFleetImageName, kFleetImageSeed, kFleetImageSizeBytes);
-    }
-    for (int c = 0; c < hosts; ++c) {
-      auto cluster = std::make_unique<Cluster>();
-      cluster->host = std::make_unique<HostMachine>(sim_, HostConfig{});
-      cluster->host->ksm().set_full_rescan(full_recompute);
-      cluster->tor = std::make_unique<TorNetwork>(sim_, tor_config);
-      cluster->manager =
-          std::make_unique<NymManager>(*cluster->host, image, cluster->tor.get(), nullptr);
-      WebsiteProfile profile;
-      profile.name = "site-" + std::to_string(c);
-      profile.domain = "site" + std::to_string(c) + ".example.com";
-      cluster->site = std::make_unique<Website>(sim_, profile);
-      cluster->host->ksm().Start(Seconds(2));
-      clusters_.push_back(std::move(cluster));
-    }
-    slots_.resize(static_cast<size_t>(nym_count));
-  }
-
-  void Run() {
-    for (int i = 0; i < nym_count_; ++i) {
-      SpawnNym(i);
-    }
-    sim_.RunUntil([this] { return finished_slots_ == nym_count_; });
-    for (auto& cluster : clusters_) {
-      cluster->host->ksm().Stop();
-    }
-  }
-
-  uint64_t visits() const { return total_visits_; }
-  uint64_t churns() const { return total_churns_; }
-  const std::vector<std::unique_ptr<Cluster>>& clusters() const { return clusters_; }
-
- private:
-  Cluster& ClusterOf(int slot) { return *clusters_[static_cast<size_t>(slot / kNymsPerHost)]; }
-
-  void SpawnNym(int slot) {
-    SlotState& state = slots_[static_cast<size_t>(slot)];
-    std::string name = "c" + std::to_string(slot / kNymsPerHost) + "-s" +
-                       std::to_string(slot % kNymsPerHost) + "-g" +
-                       std::to_string(state.generation);
-    ClusterOf(slot).manager->CreateNym(
-        name, NymManager::CreateOptions{}, [this, slot](Result<Nym*> nym, NymStartupReport) {
-          NYMIX_CHECK_MSG(nym.ok(), nym.status().ToString().c_str());
-          slots_[static_cast<size_t>(slot)].nym = *nym;
-          slots_[static_cast<size_t>(slot)].visits_done = 0;
-          VisitNext(slot);
-        });
-  }
-
-  void VisitNext(int slot) {
-    SlotState& state = slots_[static_cast<size_t>(slot)];
-    state.nym->browser()->Visit(*ClusterOf(slot).site, [this, slot](Result<SimTime> done) {
-      NYMIX_CHECK_MSG(done.ok(), done.status().ToString().c_str());
-      ++total_visits_;
-      SlotState& state = slots_[static_cast<size_t>(slot)];
-      ++state.visits_done;
-      // Think time before the next action; acting from a fresh event also
-      // means churn never tears a nym down from inside its own callback.
-      SimDuration think = Millis(500 + static_cast<SimDuration>(think_prng_.NextBelow(1500)));
-      sim_.loop().ScheduleAfter(think, [this, slot] { Advance(slot); });
-    });
-  }
-
-  void Advance(int slot) {
-    SlotState& state = slots_[static_cast<size_t>(slot)];
-    if (state.visits_done < kVisitsPerGeneration) {
-      VisitNext(slot);
-      return;
-    }
-    ++state.generation;
-    NYMIX_CHECK(ClusterOf(slot).manager->TerminateNym(state.nym).ok());
-    state.nym = nullptr;
-    if (state.generation >= kGenerations) {
-      state.finished = true;
-      ++finished_slots_;
-      return;
-    }
-    ++total_churns_;
-    SpawnNym(slot);
-  }
-
-  Simulation& sim_;
-  int nym_count_;
-  Prng think_prng_;
-  std::vector<std::unique_ptr<Cluster>> clusters_;
-  std::vector<SlotState> slots_;
-  int finished_slots_ = 0;
-  uint64_t total_visits_ = 0;
-  uint64_t total_churns_ = 0;
-};
-
-PointResult RunPoint(BenchStats& stats, bool attach_obs, int n, uint64_t seed,
-                     bool full_recompute, WarmStart* warm) {
-  std::shared_ptr<BaseImage> warm_image;
-  double restore_ms = 0;
-  if (warm != nullptr && warm->enabled) {
-    std::vector<std::shared_ptr<BaseImage>> images;
-    restore_ms = AcquireWarmImages(*warm, 1, images);
-    warm_image = std::move(images.front());
-  }
-  // nymlint:allow(determinism-wallclock): wall-clock throughput is the measurement; it never feeds virtual time
-  auto wall_start = std::chrono::steady_clock::now();
-  Simulation sim(seed);
-  if (attach_obs) {
-    stats.Attach(sim);
-    // The trace must be byte-identical between incremental and full modes
-    // (that is the equivalence contract this bench demonstrates), so keep
-    // the simulator's wall-clock self-profiling args out of it.
-    stats.obs().trace.set_record_wall_time(false);
-  }
-  Fleet fleet(sim, n, seed, full_recompute, std::move(warm_image));
-  fleet.Run();
-  // nymlint:allow(determinism-wallclock): wall-clock throughput is the measurement; it never feeds virtual time
-  auto wall_end = std::chrono::steady_clock::now();
-
-  PointResult result;
-  result.n = n;
-  result.wall_seconds = std::chrono::duration<double>(wall_end - wall_start).count();
-  result.events = sim.loop().events_executed();
-  result.events_per_sec =
-      result.wall_seconds > 0 ? static_cast<double>(result.events) / result.wall_seconds : 0;
-  result.sim_seconds = static_cast<double>(sim.now()) / 1e6;
-  result.visits = fleet.visits();
-  result.churns = fleet.churns();
-  result.waterfills_full = sim.flows().waterfills_full();
-  result.waterfills_component = sim.flows().waterfills_component();
-  result.waterfill_skips = sim.flows().waterfill_skips();
-  for (const auto& cluster : fleet.clusters()) {
-    result.ksm_memories_merged += cluster->host->ksm().memories_merged();
-    result.ksm_memories_skipped += cluster->host->ksm().memories_skipped();
-    result.ksm_pages_sharing += cluster->host->ksm().stats().pages_sharing;
-  }
-  result.checkpoint_restore_ms = restore_ms;
-  return result;
-}
-
 void WriteJson(const std::string& path, const std::string& mode, const std::string& topology,
                uint64_t seed, bool warm_start, const std::vector<PointResult>& incremental,
-               const std::vector<PointResult>& full,
-               const std::vector<ThreadedPointResult>& threaded) {
+               const std::vector<PointResult>& full, const std::vector<PointResult>& threaded) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "scale_fleet: cannot write %s\n", path.c_str());
@@ -519,7 +352,7 @@ void WriteJson(const std::string& path, const std::string& mode, const std::stri
     w.Number(ThreadPool::HardwareThreads());
     w.Key("threaded");
     w.BeginArray();
-    for (const ThreadedPointResult& p : threaded) {
+    for (const PointResult& p : threaded) {
       w.BeginObject(JsonWriter::kCompact);
       w.Key("n");
       w.Number(p.n);
@@ -570,9 +403,9 @@ void WriteJson(const std::string& path, const std::string& mode, const std::stri
     w.BeginArray();
     // Speedup and identity of each point vs the threads=1 run of the same n
     // (the serial reference execution of the same sharded structure).
-    for (const ThreadedPointResult& p : threaded) {
-      const ThreadedPointResult* base = nullptr;
-      for (const ThreadedPointResult& candidate : threaded) {
+    for (const PointResult& p : threaded) {
+      const PointResult* base = nullptr;
+      for (const PointResult& candidate : threaded) {
         if (candidate.n == p.n && candidate.threads == 1) {
           base = &candidate;
           break;
@@ -604,10 +437,18 @@ void WriteJson(const std::string& path, const std::string& mode, const std::stri
   NYMIX_CHECK_MSG(w.balanced(), "scale_fleet: unbalanced JSON emitter");
 }
 
-}  // namespace
+// --- Command line -----------------------------------------------------------
+// Strict: --help prints the usage and exits 0; an unknown flag, or a
+// malformed or out-of-range value, exits 2 with a usage line, so a typo'd
+// sweep script never runs a default multi-minute sweep.
 
-int main(int argc, char** argv) {
-  BenchStats stats("scale_fleet", argc, argv);
+constexpr char kUsage[] =
+    "usage: scale_fleet [--n=N[,N...]] [--mode=both|incremental|full] [--full-recompute]\n"
+    "                   [--out=PATH] [--seed=SEED] [--threads=T[,T...]] [--shards=K]\n"
+    "                   [--topology=isolated|crossed] [--warm-start[=CKPT]]\n"
+    "                   [--stats-out=PATH] [--trace-out=PATH] [--trace-format=json|nbt]\n";
+
+struct Args {
   std::vector<int> ns = {8, 64, 256, 1024};
   std::vector<int> threads_list;
   int shards = 8;
@@ -616,50 +457,117 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_scale.json";
   uint64_t seed = 13;
   WarmStart warm;
+};
+
+// Prints `problem` and the offending flag's usage line; returns exit code 2.
+int UsageError(const std::string& problem, const char* flag_usage) {
+  std::fprintf(stderr, "scale_fleet: %s\n", problem.c_str());
+  std::fprintf(stderr, "usage: scale_fleet [%s]\n", flag_usage);
+  return 2;
+}
+
+// Whole-string decimal parse: no leading "+" or space, no trailing text.
+template <typename T>
+bool ParseWhole(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+bool ParsePositive(std::string_view text, int& out) { return ParseWhole(text, out) && out >= 1; }
+
+// Comma-separated list of positive integers, at least one.
+bool ParsePositiveList(std::string_view text, std::vector<int>& out) {
+  out.clear();
+  while (true) {
+    size_t comma = text.find(',');
+    int value = 0;
+    if (!ParsePositive(text.substr(0, comma), value)) {
+      return false;
+    }
+    out.push_back(value);
+    if (comma == std::string_view::npos) {
+      return true;
+    }
+    text.remove_prefix(comma + 1);
+  }
+}
+
+// Returns -1 to run, else the exit code.
+int ParseArgs(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--n=", 0) == 0) {
-      ns.clear();
-      std::string list = arg.substr(4);
-      size_t pos = 0;
-      while (pos < list.size()) {
-        size_t comma = list.find(',', pos);
-        if (comma == std::string::npos) {
-          comma = list.size();
-        }
-        ns.push_back(std::stoi(list.substr(pos, comma - pos)));
-        pos = comma + 1;
+    std::string_view arg = argv[i];
+    size_t eq = arg.find('=');
+    std::string_view name = arg.substr(0, eq);
+    std::string_view value = eq == std::string_view::npos ? "" : arg.substr(eq + 1);
+    bool has_value = eq != std::string_view::npos;
+    std::string bad = "bad value \"" + std::string(arg) + "\"";
+    if (name == "--help" && !has_value) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    } else if (name == "--n") {
+      if (!ParsePositiveList(value, args.ns)) {
+        return UsageError(bad, "--n=N[,N...]");
       }
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      std::string list = arg.substr(10);
-      size_t pos = 0;
-      while (pos < list.size()) {
-        size_t comma = list.find(',', pos);
-        if (comma == std::string::npos) {
-          comma = list.size();
-        }
-        threads_list.push_back(std::stoi(list.substr(pos, comma - pos)));
-        pos = comma + 1;
+    } else if (name == "--threads") {
+      if (!ParsePositiveList(value, args.threads_list)) {
+        return UsageError(bad, "--threads=T[,T...]");
       }
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::stoi(arg.substr(9));
-    } else if (arg.rfind("--mode=", 0) == 0) {
-      mode = arg.substr(7);
-    } else if (arg.rfind("--topology=", 0) == 0) {
-      topology = arg.substr(11);
-    } else if (arg == "--full-recompute") {
-      mode = "full";
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::stoull(arg.substr(7));
-    } else if (arg == "--warm-start") {
-      warm.enabled = true;
-    } else if (arg.rfind("--warm-start=", 0) == 0) {
-      warm.enabled = true;
-      warm.path = arg.substr(13);
+    } else if (name == "--shards") {
+      if (!ParsePositive(value, args.shards)) {
+        return UsageError(bad, "--shards=K");
+      }
+    } else if (name == "--seed") {
+      if (!ParseWhole(value, args.seed)) {
+        return UsageError(bad, "--seed=SEED");
+      }
+    } else if (name == "--mode") {
+      args.mode = std::string(value);
+      if (args.mode != "both" && args.mode != "incremental" && args.mode != "full") {
+        return UsageError("unknown --mode \"" + args.mode + "\"", "--mode=both|incremental|full");
+      }
+    } else if (name == "--topology") {
+      args.topology = std::string(value);
+      if (args.topology != "isolated" && args.topology != "crossed") {
+        return UsageError("unknown --topology \"" + args.topology + "\"",
+                          "--topology=isolated|crossed");
+      }
+    } else if (name == "--full-recompute" && !has_value) {
+      args.mode = "full";
+    } else if (name == "--out") {
+      if (value.empty()) {
+        return UsageError(bad, "--out=PATH");
+      }
+      args.out_path = std::string(value);
+    } else if (name == "--warm-start") {
+      args.warm.enabled = true;
+      if (has_value) {
+        if (value.empty()) {
+          return UsageError(bad, "--warm-start[=CKPT]");
+        }
+        args.warm.path = std::string(value);
+      }
+    } else if ((name == "--stats-out" || name == "--trace-out" || name == "--trace-format") &&
+               has_value) {
+      // Parsed (and --trace-format validated) by BenchStats.
+    } else {
+      std::fprintf(stderr, "scale_fleet: unknown argument \"%s\"\n", argv[i]);
+      std::fputs(kUsage, stderr);
+      return 2;
     }
   }
+  return -1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Args args;
+  if (int rc = ParseArgs(argc, argv, args); rc >= 0) {
+    return rc;
+  }
+  BenchStats stats("scale_fleet", argc, argv);
+  WarmStart& warm = args.warm;
   if (warm.enabled) {
     // Tolerant load: a missing file means a first (all-cold) run, and a
     // torn tail costs only the damaged records — the cold-build fallback
@@ -677,43 +585,28 @@ int main(int argc, char** argv) {
     std::printf("# warm start: checkpoint %s (%zu entries)\n", warm.path.c_str(),
                 warm.store.size());
   }
-  // Bad CLI input is a usage error (exit 2, matching the bench_stats
-  // --trace-format contract), not an internal invariant failure — a typo'd
-  // sweep script should get a usage line, not a NYMIX_CHECK abort.
-  if (mode != "both" && mode != "incremental" && mode != "full") {
-    std::fprintf(stderr, "scale_fleet: unknown --mode \"%s\"\n", mode.c_str());
-    std::fprintf(stderr, "usage: scale_fleet [--mode=both|incremental|full]\n");
-    return 2;
-  }
-  if (topology != "isolated" && topology != "crossed") {
-    std::fprintf(stderr, "scale_fleet: unknown --topology \"%s\"\n", topology.c_str());
-    std::fprintf(stderr, "usage: scale_fleet [--topology=isolated|crossed]\n");
-    return 2;
-  }
-  const bool crossed = topology == "crossed";
-  // Tracing/metrics change the per-event work (and trace layout is
-  // per-simulation-attach), so obs-attached runs are for equivalence
-  // checking, not for headline throughput.
+  const std::string& mode = args.mode;
+  const bool crossed = args.topology == "crossed";
   const bool attach_obs = stats.stats_requested() || stats.trace_requested();
 
   std::printf("# scale_fleet: %d-nym-per-host clusters, live KSM, Tor fetch + churn\n",
-              kNymsPerHost);
+              FleetOptions{}.nyms_per_host);
   std::printf("%-6s %-12s %12s %12s %14s\n", "n", "mode", "wall (s)", "events", "events/s");
 
   std::vector<PointResult> incremental;
   std::vector<PointResult> full;
-  for (int n : ns) {
-    if (mode != "full") {
-      PointResult p = RunPoint(stats, attach_obs, n, seed, /*full_recompute=*/false, &warm);
-      std::printf("%-6d %-12s %12.3f %12llu %14.0f\n", n, "incremental", p.wall_seconds,
-                  static_cast<unsigned long long>(p.events), p.events_per_sec);
-      incremental.push_back(p);
-    }
-    if (mode != "incremental") {
-      PointResult p = RunPoint(stats, attach_obs, n, seed, /*full_recompute=*/true, &warm);
-      std::printf("%-6d %-12s %12.3f %12llu %14.0f\n", n, "full", p.wall_seconds,
-                  static_cast<unsigned long long>(p.events), p.events_per_sec);
-      full.push_back(p);
+  for (int n : args.ns) {
+    for (bool full_recompute : {false, true}) {
+      if (mode == (full_recompute ? "incremental" : "full")) {
+        continue;
+      }
+      FleetOptions options;
+      options.nym_count = n;
+      options.full_recompute = full_recompute;
+      PointResult p = RunPoint(stats, options, ShardPlan{1, 1}, args.seed, &warm, attach_obs);
+      std::printf("%-6d %-12s %12.3f %12llu %14.0f\n", n, full_recompute ? "full" : "incremental",
+                  p.wall_seconds, static_cast<unsigned long long>(p.events), p.events_per_sec);
+      (full_recompute ? full : incremental).push_back(p);
     }
     if (mode == "both") {
       std::printf("%-6d %-12s %12.2fx\n", n, "speedup",
@@ -721,26 +614,28 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<ThreadedPointResult> threaded;
+  std::vector<PointResult> threaded;
   bool identity_ok = true;
-  if (!threads_list.empty()) {
-    NYMIX_CHECK_MSG(shards >= 1, "--shards must be >= 1");
-    std::printf("# sharded executor: %d shards, topology: %s, hardware threads: %d\n", shards,
-                topology.c_str(), ThreadPool::HardwareThreads());
-    for (int n : ns) {
-      ShardPlacement placement;
+  if (!args.threads_list.empty()) {
+    std::printf("# sharded executor: %d shards, topology: %s, hardware threads: %d\n",
+                args.shards, args.topology.c_str(), ThreadPool::HardwareThreads());
+    for (int n : args.ns) {
+      FleetOptions options;
+      options.nym_count = n;
       if (crossed) {
         // Calibrate once per n; every thread count then runs the exact
         // same (seed, shards, placement) experiment, so the identity
         // cross-check below still compares like with like.
-        placement = CalibratePlacement(n, shards, seed);
-        std::printf("%-6d %-12s placement=%s\n", n, "calibrate", placement.Label().c_str());
+        options.topology = FleetTopology::kCrossed;
+        options.placement = CalibratePlacement(n, args.shards, args.seed);
+        std::printf("%-6d %-12s placement=%s\n", n, "calibrate",
+                    options.placement.Label().c_str());
       }
-      ThreadedPointResult base;  // first thread count of this n (by value:
-                                 // threaded reallocates as points append)
-      for (int threads : threads_list) {
-        ThreadedPointResult p =
-            RunThreadedPoint(stats, n, shards, threads, seed, &warm, crossed, placement);
+      PointResult base;  // first thread count of this n (by value:
+                         // threaded reallocates as points append)
+      for (int threads : args.threads_list) {
+        PointResult p = RunPoint(stats, options, ShardPlan{args.shards, threads}, args.seed,
+                                 &warm, /*observe=*/true);
         std::printf("%-6d %-12s %12.3f %12llu %14.0f  trace=%.12s\n", n,
                     ("threads=" + std::to_string(threads)).c_str(), p.wall_seconds,
                     static_cast<unsigned long long>(p.events), p.events_per_sec,
@@ -763,8 +658,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  WriteJson(out_path, mode, topology, seed, warm.enabled, incremental, full, threaded);
-  std::printf("# wrote %s\n", out_path.c_str());
+  WriteJson(args.out_path, mode, args.topology, args.seed, warm.enabled, incremental, full,
+            threaded);
+  std::printf("# wrote %s\n", args.out_path.c_str());
 
   if (warm.enabled) {
     Status saved = warm.store.Save(warm.path);
@@ -778,7 +674,7 @@ int main(int argc, char** argv) {
     stats.Set(prefix + ".events_per_sec", incremental[i].events_per_sec);
     stats.Set(prefix + ".wall_seconds", incremental[i].wall_seconds);
   }
-  for (const ThreadedPointResult& p : threaded) {
+  for (const PointResult& p : threaded) {
     std::string prefix = "n" + std::to_string(p.n) + ".t" + std::to_string(p.threads);
     stats.Set(prefix + ".events_per_sec", p.events_per_sec);
     stats.Set(prefix + ".wall_seconds", p.wall_seconds);

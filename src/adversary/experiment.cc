@@ -1,7 +1,5 @@
 #include "src/adversary/experiment.h"
 
-#include <algorithm>
-
 #include "src/anon/tor.h"
 #include "src/sanitize/jpeg.h"
 #include "src/sanitize/scrubber.h"
@@ -10,16 +8,16 @@
 namespace nymix {
 namespace {
 
-// Same retry budgets as the core fleet: generous against transient failure,
-// finite against a schedule that never heals.
-constexpr int kMaxVisitRetries = 64;
-constexpr int kMaxCreateRetries = 8;
-
-// Every cluster boots from a copy of the same release stick (content is a
-// pure function of these, like src/core/fleet).
-constexpr const char* kImageName = "nymix";
-constexpr uint64_t kImageSeed = 42;
-constexpr uint64_t kImageSizeBytes = 64 * kMiB;
+// Per-cluster Tor deployment. 4 exits x 4 sites makes a coincidental
+// full-map agreement a 1-in-256 event per pair — rare enough that the
+// clean fleet's exit advantage stays ~0 at any test scale.
+TorNetwork::Config AdversaryTorConfig() {
+  TorNetwork::Config config;
+  config.relay_count = 8;
+  config.guard_count = 2;
+  config.exit_count = 4;
+  return config;
+}
 
 // The four-site workloads. Canonical names/domains; each cluster registers
 // replicas under "h<c>-" / "h<c>." prefixes (a shard's DNS would otherwise
@@ -88,184 +86,98 @@ std::string_view WorkloadMixName(WorkloadMix mix) {
 
 AdversaryExperiment::AdversaryExperiment(ShardedSimulation& sharded,
                                          const AdversaryOptions& options, uint64_t seed)
-    : sharded_(sharded), options_(options), seed_(seed) {
+    : options_(options), seed_(seed) {
   NYMIX_CHECK(options_.nym_count >= 1);
-  NYMIX_CHECK(options_.nyms_per_host >= 1);
   NYMIX_CHECK(options_.generations >= 1);
-  NYMIX_CHECK(options_.passes_per_generation >= 1);
   site_profiles_ = WorkloadProfiles(options_.workload);
-
-  const int shards = sharded_.shard_count();
-  for (int s = 0; s < shards; ++s) {
-    shard_states_.push_back(std::make_unique<ShardState>(
-        Mix64(seed ^ Fnv1a64("adversary.think") ^ static_cast<uint64_t>(s))));
-  }
-
-  // One base image per shard, as in src/core/fleet: the Merkle-verification
-  // cache must not be shared across concurrently-running shards.
-  std::vector<std::shared_ptr<BaseImage>> images;
-  for (int s = 0; s < shards; ++s) {
-    images.push_back(BaseImage::CreateDistribution(kImageName, kImageSeed, kImageSizeBytes));
-  }
-
-  const int hosts = (options_.nym_count + options_.nyms_per_host - 1) / options_.nyms_per_host;
-  for (int c = 0; c < hosts; ++c) {
-    const int shard = c % shards;
-    Simulation& sim = sharded_.shard(shard);
-    auto cluster = std::make_unique<Cluster>();
-    cluster->shard = shard;
-    cluster->host = std::make_unique<HostMachine>(sim, HostConfig{});
-    cluster->tor = std::make_unique<TorNetwork>(sim, options_.tor);
-    cluster->manager = std::make_unique<NymManager>(
-        *cluster->host, images[static_cast<size_t>(shard)], cluster->tor.get(), nullptr);
-    const std::string prefix = "h" + std::to_string(c);
-    for (size_t i = 0; i < site_profiles_.size(); ++i) {
-      WebsiteProfile replica = site_profiles_[i];
-      replica.name = prefix + "-" + replica.name;
-      replica.domain = prefix + "." + replica.domain;
-      SiteReplica entry;
-      entry.site = std::make_unique<Website>(sim, replica);
-      entry.exit_tap = std::make_unique<PassiveObserver>(
-          TapSite::kExit, c * static_cast<int>(site_profiles_.size()) + static_cast<int>(i));
-      entry.site->access_link()->AttachTap(entry.exit_tap.get());
-      cluster->sites.push_back(std::move(entry));
-    }
-    cluster->entry_tap = std::make_unique<PassiveObserver>(TapSite::kEntry, c);
-    cluster->host->uplink()->AttachTap(cluster->entry_tap.get());
-    clusters_.push_back(std::move(cluster));
-  }
-
-  slots_.resize(static_cast<size_t>(options_.nym_count));
+  born_.resize(static_cast<size_t>(options_.nym_count));
   records_by_slot_.resize(static_cast<size_t>(options_.nym_count));
-  for (int i = 0; i < options_.nym_count; ++i) {
-    slots_[static_cast<size_t>(i)].cluster = i / options_.nyms_per_host;
-    ++ShardOf(i).total_slots;
-  }
+
+  FleetOptions fleet;
+  fleet.nym_count = options_.nym_count;
+  fleet.nyms_per_host = options_.nyms_per_host;
+  fleet.generations = options_.generations;
+  fleet.visits_per_generation = static_cast<int>(site_profiles_.size());
+  fleet.tor = AdversaryTorConfig();
+  // The taps, not page sharing, are under study here.
+  fleet.ksm_interval = 0;
+  FleetHooks* hooks = this;
+  fleet_ = std::make_unique<ShardedFleet>(sharded, fleet, seed, hooks);
 }
 
 AdversaryExperiment::~AdversaryExperiment() = default;
 
-void AdversaryExperiment::Run() {
-  for (int i = 0; i < options_.nym_count; ++i) {
-    SpawnNym(i);
+std::vector<std::unique_ptr<Website>> AdversaryExperiment::MakeSites(Simulation& sim,
+                                                                     int cluster) {
+  const std::string prefix = "h" + std::to_string(cluster);
+  std::vector<std::unique_ptr<Website>> sites;
+  for (const WebsiteProfile& profile : site_profiles_) {
+    WebsiteProfile replica = profile;
+    replica.name = prefix + "-" + replica.name;
+    replica.domain = prefix + "." + replica.domain;
+    sites.push_back(std::make_unique<Website>(sim, replica));
   }
-  sharded_.RunUntilIdle();
-  for (int s = 0; s < sharded_.shard_count(); ++s) {
-    const ShardState& state = *shard_states_[static_cast<size_t>(s)];
-    NYMIX_CHECK(state.finished_slots == state.total_slots);
-  }
+  return sites;
 }
 
-SimDuration AdversaryExperiment::ThinkTime(ShardState& shard) {
-  return Millis(500 + static_cast<SimDuration>(shard.think_prng.NextBelow(1500)));
+void AdversaryExperiment::AttachCluster(int cluster, HostMachine& host,
+                                        const std::vector<std::unique_ptr<Website>>& sites) {
+  ClusterTaps taps;
+  for (size_t i = 0; i < sites.size(); ++i) {
+    taps.exits.push_back(std::make_unique<PassiveObserver>(
+        TapSite::kExit, cluster * static_cast<int>(sites.size()) + static_cast<int>(i)));
+    sites[i]->access_link()->AttachTap(taps.exits.back().get());
+    taps.sites.push_back(sites[i].get());
+  }
+  taps.entry = std::make_unique<PassiveObserver>(TapSite::kEntry, cluster);
+  host.uplink()->AttachTap(taps.entry.get());
+  taps_.push_back(std::move(taps));
 }
 
-void AdversaryExperiment::SpawnNym(int slot) {
-  Slot& state = slots_[static_cast<size_t>(slot)];
-  const int epoch = state.epoch;
-  const int host = state.cluster;
-  std::string name = "adv-h" + std::to_string(host) + "-s" +
-                     std::to_string(slot % options_.nyms_per_host) + "-g" +
-                     std::to_string(state.generation);
+NymManager::CreateOptions AdversaryExperiment::CreateOptionsFor(int cluster) {
   NymManager::CreateOptions create;
   if (options_.plant == LeakPlant::kReusedCircuit) {
     // Same-host nyms share the pin key, so they land on the same exit per
     // destination — the stream-isolation failure the exit probe catches.
     create.circuit_reuse_key =
-        Mix64(seed_ ^ Fnv1a64("adversary.reuse") ^ static_cast<uint64_t>(host));
+        Mix64(seed_ ^ Fnv1a64("adversary.reuse") ^ static_cast<uint64_t>(cluster));
   }
-  ClusterOf(slot).manager->CreateNym(
-      name, create, [this, slot, epoch](Result<Nym*> nym, NymStartupReport) {
-        Slot& state = slots_[static_cast<size_t>(slot)];
-        if (state.finished || state.epoch != epoch) {
-          if (nym.ok()) {
-            Status ignored = ClusterOf(slot).manager->TerminateNym(*nym);
-            (void)ignored;
-          }
-          return;
-        }
-        ShardState& shard = ShardOf(slot);
-        if (!nym.ok()) {
-          if (++state.create_retries > kMaxCreateRetries) {
-            AbandonSlot(slot);
-            return;
-          }
-          sharded_.shard(ClusterOf(slot).shard)
-              .loop()
-              .ScheduleAfter(ThinkTime(shard), [this, slot] { SpawnNym(slot); });
-          return;
-        }
-        state.create_retries = 0;
-        state.nym = *nym;
-        state.visits_done = 0;
-        state.born = sharded_.shard(ClusterOf(slot).shard).now();
-        if (options_.plant == LeakPlant::kSharedCookieJar) {
-          // The bled jar: every nym on this host presents the same
-          // host-scoped cookie values (a sync-service bleed, §3.3).
-          Cluster& cluster = ClusterOf(slot);
-          std::map<std::string, std::string> jar;
-          for (size_t i = 0; i < cluster.sites.size(); ++i) {
-            jar[cluster.sites[i].site->profile().domain] =
-                "leak-h" + std::to_string(state.cluster) + "-" + site_profiles_[i].name;
-          }
-          state.nym->browser()->ImportCookies(jar);
-        }
-        VisitNext(slot, epoch);
-      });
+  return create;
 }
 
-void AdversaryExperiment::VisitNext(int slot, int epoch) {
-  Cluster& cluster = ClusterOf(slot);
-  Slot& state = slots_[static_cast<size_t>(slot)];
-  if (state.finished || state.epoch != epoch) {
-    return;
+void AdversaryExperiment::OnNymReady(int slot, int cluster, Nym& nym, SimTime now) {
+  born_[static_cast<size_t>(slot)] = now;
+  if (options_.plant == LeakPlant::kSharedCookieJar) {
+    // The bled jar: every nym on this host presents the same host-scoped
+    // cookie values (a sync-service bleed, §3.3).
+    const ClusterTaps& taps = taps_[static_cast<size_t>(cluster)];
+    std::map<std::string, std::string> jar;
+    for (size_t i = 0; i < taps.sites.size(); ++i) {
+      jar[taps.sites[i]->profile().domain] =
+          "leak-h" + std::to_string(cluster) + "-" + site_profiles_[i].name;
+    }
+    nym.browser()->ImportCookies(jar);
   }
-  Website& site =
-      *cluster.sites[static_cast<size_t>(state.visits_done) % cluster.sites.size()].site;
-  state.nym->browser()->Visit(site, [this, slot, epoch](Result<SimTime> done) {
-    Cluster& cluster = ClusterOf(slot);
-    ShardState& shard = *shard_states_[static_cast<size_t>(cluster.shard)];
-    Slot& state = slots_[static_cast<size_t>(slot)];
-    if (state.finished || state.epoch != epoch) {
-      return;
-    }
-    if (!done.ok()) {
-      if (++state.visit_retries > kMaxVisitRetries) {
-        AbandonSlot(slot);
-        return;
-      }
-      sharded_.shard(cluster.shard)
-          .loop()
-          .ScheduleAfter(ThinkTime(shard), [this, slot, epoch] { VisitNext(slot, epoch); });
-      return;
-    }
-    state.visit_retries = 0;
-    ++shard.visits;
-    ++state.visits_done;
-    sharded_.shard(cluster.shard)
-        .loop()
-        .ScheduleAfter(ThinkTime(shard), [this, slot, epoch] { Advance(slot, epoch); });
-  });
 }
 
-NymRecord AdversaryExperiment::SnapshotNym(int slot) {
-  Slot& state = slots_[static_cast<size_t>(slot)];
-  Cluster& cluster = ClusterOf(slot);
+void AdversaryExperiment::BeforeChurn(int slot, int cluster, int generation, Nym& nym,
+                                      SimTime now) {
+  const ClusterTaps& taps = taps_[static_cast<size_t>(cluster)];
   NymRecord record;
-  record.host = state.cluster;
+  record.host = cluster;
   record.slot = slot;
-  record.generation = state.generation;
-  record.born = state.born;
-  record.died = sharded_.shard(cluster.shard).now();
+  record.generation = generation;
+  record.born = born_[static_cast<size_t>(slot)];
+  record.died = now;
 
-  BrowserModel* browser = state.nym->browser();
-  Anonymizer* anonymizer = state.nym->anonymizer();
+  BrowserModel* browser = nym.browser();
+  Anonymizer* anonymizer = nym.anonymizer();
   TorClient* tor_client =
       anonymizer->kind() == AnonymizerKind::kTor ? static_cast<TorClient*>(anonymizer) : nullptr;
   bool uploaded = false;
-  for (size_t i = 0; i < cluster.sites.size(); ++i) {
+  for (size_t i = 0; i < taps.sites.size(); ++i) {
     const std::string& key = site_profiles_[i].name;  // canonical, cluster-invariant
-    const std::string& domain = cluster.sites[i].site->profile().domain;
+    const std::string& domain = taps.sites[i]->profile().domain;
     if (browser->HasCookieFor(domain)) {
       record.cookies[key] = browser->CookieFor(domain);
     }
@@ -286,13 +198,13 @@ NymRecord AdversaryExperiment::SnapshotNym(int slot) {
     photo.image = Image::Solid(16, 16, 120, 100, 90);
     ExifData exif;
     exif.camera_make = "NymCam";
-    exif.body_serial_number = "serial-h" + std::to_string(state.cluster);
+    exif.body_serial_number = "serial-h" + std::to_string(cluster);
     photo.exif = exif;
     Bytes wire = EncodeJpeg(photo);
     if (options_.plant != LeakPlant::kDisabledScrub) {
       Prng scrub_prng(Mix64(seed_ ^ Fnv1a64("adversary.scrub") ^
                             (static_cast<uint64_t>(slot) << 8) ^
-                            static_cast<uint64_t>(state.generation)));
+                            static_cast<uint64_t>(generation)));
       auto scrubbed = ScrubFile(wire, ScrubOptions{}, scrub_prng);
       NYMIX_CHECK_MSG(scrubbed.ok(), "upload scrub failed");
       wire = std::move(scrubbed->data);
@@ -303,49 +215,7 @@ NymRecord AdversaryExperiment::SnapshotNym(int slot) {
       record.stain = *received->exif->body_serial_number;
     }
   }
-  return record;
-}
-
-void AdversaryExperiment::Advance(int slot, int epoch) {
-  Slot& state = slots_[static_cast<size_t>(slot)];
-  if (state.finished || state.epoch != epoch) {
-    return;
-  }
-  const int target = options_.passes_per_generation * static_cast<int>(site_profiles_.size());
-  if (state.visits_done < target) {
-    VisitNext(slot, epoch);
-    return;
-  }
-  // Churn boundary: snapshot what this instance exposed, then wipe it.
-  records_by_slot_[static_cast<size_t>(slot)].push_back(SnapshotNym(slot));
-  ++state.generation;
-  Status terminated = ClusterOf(slot).manager->TerminateNym(state.nym);
-  NYMIX_CHECK_MSG(terminated.ok(), terminated.ToString().c_str());
-  state.nym = nullptr;
-  if (state.generation >= options_.generations) {
-    FinishSlot(slot);
-    return;
-  }
-  ++ShardOf(slot).churns;
-  SpawnNym(slot);
-}
-
-void AdversaryExperiment::AbandonSlot(int slot) {
-  Slot& state = slots_[static_cast<size_t>(slot)];
-  state.finished = true;
-  if (state.nym != nullptr) {
-    Status ignored = ClusterOf(slot).manager->TerminateNym(state.nym);
-    (void)ignored;
-    state.nym = nullptr;
-  }
-  FinishSlot(slot);
-}
-
-void AdversaryExperiment::FinishSlot(int slot) {
-  Slot& state = slots_[static_cast<size_t>(slot)];
-  state.finished = true;
-  ShardState& shard = ShardOf(slot);
-  ++shard.finished_slots;
+  records_by_slot_[static_cast<size_t>(slot)].push_back(std::move(record));
 }
 
 AdversaryReport AdversaryExperiment::Analyze() const {
@@ -359,16 +229,16 @@ AdversaryReport AdversaryExperiment::Analyze() const {
   std::vector<FlowObservation> exit_flows;
   uint64_t tap_packets = 0;
   uint64_t tap_bytes = 0;
-  for (const auto& cluster : clusters_) {
-    const auto& entry = cluster->entry_tap->flows();
+  for (const ClusterTaps& taps : taps_) {
+    const auto& entry = taps.entry->flows();
     entry_flows.insert(entry_flows.end(), entry.begin(), entry.end());
-    tap_packets += cluster->entry_tap->packets_seen();
-    tap_bytes += cluster->entry_tap->bytes_seen();
-    for (const auto& replica : cluster->sites) {
-      const auto& exit = replica.exit_tap->flows();
+    tap_packets += taps.entry->packets_seen();
+    tap_bytes += taps.entry->bytes_seen();
+    for (const auto& exit_tap : taps.exits) {
+      const auto& exit = exit_tap->flows();
       exit_flows.insert(exit_flows.end(), exit.begin(), exit.end());
-      tap_packets += replica.exit_tap->packets_seen();
-      tap_bytes += replica.exit_tap->bytes_seen();
+      tap_packets += exit_tap->packets_seen();
+      tap_bytes += exit_tap->bytes_seen();
     }
   }
 
@@ -404,22 +274,6 @@ void AdversaryExperiment::ExportMetrics(const AdversaryReport& report, MetricsRe
   metrics.GetCounter("adversary.flows.exit")->Increment(report.exit_flows);
   metrics.GetCounter("adversary.taps.packets")->Increment(report.tap_packets);
   metrics.GetCounter("adversary.taps.bytes")->Increment(report.tap_bytes);
-}
-
-uint64_t AdversaryExperiment::visits() const {
-  uint64_t total = 0;
-  for (const auto& state : shard_states_) {
-    total += state->visits;
-  }
-  return total;
-}
-
-uint64_t AdversaryExperiment::churns() const {
-  uint64_t total = 0;
-  for (const auto& state : shard_states_) {
-    total += state->churns;
-  }
-  return total;
 }
 
 }  // namespace nymix

@@ -2,10 +2,11 @@
 // with the adversary's taps, plus deliberately plantable isolation
 // failures — the executable form of the paper's tracking-protection claim.
 //
-// Fleet shape mirrors ShardedFleet (src/core/fleet.h): N nyms over
+// The fleet is built on ShardedFleet (src/core/fleet.h): N nyms over
 // ceil(N / nyms_per_host) host clusters placed round-robin onto shards;
-// every slot spawns, visits the workload's site list with think time,
-// churns (terminate + replace) once per generation. On top of that:
+// every slot spawns, visits the workload's site list once per generation
+// with think time, churns (terminate + replace), and KSM is off. The
+// experiment is the fleet's FleetHooks, which add:
 //
 //   * A PassiveObserver at every host uplink (entry vantage) and every
 //     destination's access link (exit vantage).
@@ -33,9 +34,7 @@
 
 #include "src/adversary/attacks.h"
 #include "src/adversary/observer.h"
-#include "src/core/nym_manager.h"
-#include "src/parallel/sharded_sim.h"
-#include "src/workload/website.h"
+#include "src/core/fleet.h"
 
 namespace nymix {
 
@@ -53,26 +52,12 @@ struct AdversaryOptions {
   int nym_count = 8;
   int nyms_per_host = 2;
   int generations = 2;
-  // Passes over the site list per generation (4 visits per pass).
-  int passes_per_generation = 1;
   WorkloadMix workload = WorkloadMix::kMixed;
   LeakPlant plant = LeakPlant::kNone;
   // Correlation window for the flow-matching attack.
   SimDuration correlation_window = Millis(500);
   // Exit-fingerprint probe: minimum shared sites for a verdict (attacks.h).
   size_t min_common_sites = 3;
-  // Per-cluster Tor deployment. 4 exits x 4 sites makes a coincidental
-  // full-map agreement a 1-in-256 event per pair — rare enough that the
-  // clean fleet's exit advantage stays ~0 at any test scale.
-  TorNetwork::Config tor = MakeAdversaryTorConfig();
-
-  static TorNetwork::Config MakeAdversaryTorConfig() {
-    TorNetwork::Config config;
-    config.relay_count = 8;
-    config.guard_count = 2;
-    config.exit_count = 4;
-    return config;
-  }
 };
 
 // Quantified leak metrics — what the oracles threshold and the ablation
@@ -88,15 +73,16 @@ struct AdversaryReport {
   uint64_t tap_bytes = 0;
 };
 
-class AdversaryExperiment {
+class AdversaryExperiment : private FleetHooks {
  public:
-  // Builds every cluster, site replica, and tap up front. `sharded` must
-  // outlive the experiment; its plan fixes the cluster partition.
+  // Builds the fleet with every cluster, site replica, and tap up front.
+  // `sharded` must outlive the experiment; its plan fixes the cluster
+  // partition.
   AdversaryExperiment(ShardedSimulation& sharded, const AdversaryOptions& options, uint64_t seed);
-  ~AdversaryExperiment();
+  ~AdversaryExperiment() override;
 
   // Spawns every slot's first nym and drives the executor to quiescence.
-  void Run();
+  void Run() { fleet_->Run(); }
 
   // Runs every attack over the collected observations (call after Run).
   AdversaryReport Analyze() const;
@@ -106,78 +92,45 @@ class AdversaryExperiment {
   static void ExportMetrics(const AdversaryReport& report, MetricsRegistry& metrics);
 
   // Post-run aggregates, summed in shard-id order.
-  uint64_t visits() const;
-  uint64_t churns() const;
-  int host_count() const { return static_cast<int>(clusters_.size()); }
+  uint64_t visits() const { return fleet_->visits(); }
+  uint64_t churns() const { return fleet_->churns(); }
+  int host_count() const { return fleet_->host_count(); }
 
   // Tap access for the metadata-only negative tests.
   const PassiveObserver& entry_observer(int host) const {
-    return *clusters_[static_cast<size_t>(host)]->entry_tap;
+    return *taps_[static_cast<size_t>(host)].entry;
   }
 
  private:
-  struct SiteReplica {
-    std::unique_ptr<Website> site;
-    std::unique_ptr<PassiveObserver> exit_tap;
+  // One cluster's vantages: the entry tap on the host uplink and one exit
+  // tap per site replica, plus the replicas themselves (owned by the fleet).
+  struct ClusterTaps {
+    std::unique_ptr<PassiveObserver> entry;
+    std::vector<std::unique_ptr<PassiveObserver>> exits;
+    std::vector<const Website*> sites;
   };
 
-  struct Cluster {
-    int shard = 0;
-    std::unique_ptr<HostMachine> host;
-    std::unique_ptr<TorNetwork> tor;
-    std::unique_ptr<NymManager> manager;
-    std::vector<SiteReplica> sites;  // one per workload site, this cluster's replica
-    std::unique_ptr<PassiveObserver> entry_tap;
-  };
-
-  struct Slot {
-    int cluster = 0;
-    Nym* nym = nullptr;
-    SimTime born = 0;
-    int visits_done = 0;  // within the current generation
-    int generation = 0;
-    int visit_retries = 0;
-    int create_retries = 0;
-    bool finished = false;
-    int epoch = 0;
-  };
-
-  struct ShardState {
-    Prng think_prng;
-    int total_slots = 0;
-    int finished_slots = 0;
-    uint64_t visits = 0;
-    uint64_t churns = 0;
-
-    explicit ShardState(uint64_t seed) : think_prng(seed) {}
-  };
-
-  Cluster& ClusterOf(int slot) {
-    return *clusters_[static_cast<size_t>(slots_[static_cast<size_t>(slot)].cluster)];
-  }
-  ShardState& ShardOf(int slot) {
-    return *shard_states_[static_cast<size_t>(ClusterOf(slot).shard)];
-  }
-
-  void SpawnNym(int slot);
-  void VisitNext(int slot, int epoch);
-  void Advance(int slot, int epoch);
-  void FinishSlot(int slot);
-  void AbandonSlot(int slot);
-  SimDuration ThinkTime(ShardState& shard);
+  // FleetHooks.
+  std::vector<std::unique_ptr<Website>> MakeSites(Simulation& sim, int cluster) override;
+  void AttachCluster(int cluster, HostMachine& host,
+                     const std::vector<std::unique_ptr<Website>>& sites) override;
+  NymManager::CreateOptions CreateOptionsFor(int cluster) override;
+  void OnNymReady(int slot, int cluster, Nym& nym, SimTime now) override;
   // Ground truth at churn time: cookies, exit map, upload stain.
-  NymRecord SnapshotNym(int slot);
+  void BeforeChurn(int slot, int cluster, int generation, Nym& nym, SimTime now) override;
+  const char* nym_prefix() const override { return "adv-h"; }
+  const char* think_label() const override { return "adversary.think"; }
 
-  ShardedSimulation& sharded_;
   AdversaryOptions options_;
   uint64_t seed_ = 0;
   std::vector<WebsiteProfile> site_profiles_;  // canonical (unprefixed) workload
-  std::vector<std::unique_ptr<Cluster>> clusters_;
-  std::vector<Slot> slots_;
-  std::vector<std::unique_ptr<ShardState>> shard_states_;
-  // Ground truth per slot, appended in generation order (shard-local
-  // writes; flattened slot-major for analysis).
+  std::vector<ClusterTaps> taps_;              // index = cluster
+  // Per-slot state written only on the slot's shard: the current nym's
+  // boot time, and its ground truth appended in generation order
+  // (flattened slot-major for analysis).
+  std::vector<SimTime> born_;
   std::vector<std::vector<NymRecord>> records_by_slot_;
+  std::unique_ptr<ShardedFleet> fleet_;
 };
 
 }  // namespace nymix

@@ -27,13 +27,40 @@ class FnPacketSink : public PacketSink {
   std::function<void(const Packet&)> fn_;
 };
 
+FleetHooks& DefaultHooks() {
+  static FleetHooks hooks;
+  return hooks;
+}
+
 }  // namespace
 
+std::vector<std::unique_ptr<Website>> FleetHooks::MakeSites(Simulation& sim, int cluster) {
+  WebsiteProfile profile;
+  profile.name = "site-" + std::to_string(cluster);
+  profile.domain = "site" + std::to_string(cluster) + ".example.com";
+  std::vector<std::unique_ptr<Website>> sites;
+  sites.push_back(std::make_unique<Website>(sim, profile));
+  return sites;
+}
+
+void FleetHooks::AttachCluster(int, HostMachine&, const std::vector<std::unique_ptr<Website>>&) {}
+
+NymManager::CreateOptions FleetHooks::CreateOptionsFor(int) { return NymManager::CreateOptions{}; }
+
+void FleetHooks::OnNymReady(int, int, Nym&, SimTime) {}
+
+void FleetHooks::BeforeChurn(int, int, int, Nym&, SimTime) {}
+
+const char* FleetHooks::nym_prefix() const { return "c"; }
+
+const char* FleetHooks::think_label() const { return "fleet.think"; }
+
 ShardedFleet::ShardedFleet(ShardedSimulation& sharded, const FleetOptions& options,
-                           uint64_t seed)
-    : sharded_(sharded), options_(options) {
+                           uint64_t seed, FleetHooks* hooks)
+    : sharded_(sharded), options_(options), hooks_(hooks != nullptr ? *hooks : DefaultHooks()) {
   NYMIX_CHECK(options_.nym_count >= 1);
   NYMIX_CHECK(options_.nyms_per_host >= 1);
+  NYMIX_CHECK(options_.ksm_interval >= 0);
   int shards = sharded_.shard_count();
   // A crossed fleet needs a second shard to host the cloud; on a 1-shard
   // plan it degrades to the isolated workload (fleet.h documents this).
@@ -47,7 +74,7 @@ ShardedFleet::ShardedFleet(ShardedSimulation& sharded, const FleetOptions& optio
     // Think-time randomness is per shard and derived from (seed, shard id):
     // a slot's think stream must not depend on how other shards interleave.
     shard_states_.push_back(std::make_unique<ShardState>(
-        Mix64(seed ^ Fnv1a64("fleet.think") ^ static_cast<uint64_t>(s))));
+        Mix64(seed ^ Fnv1a64(hooks_.think_label()) ^ static_cast<uint64_t>(s))));
   }
 
   int hosts = (options_.nym_count + options_.nyms_per_host - 1) / options_.nyms_per_host;
@@ -95,16 +122,19 @@ ShardedFleet::ShardedFleet(ShardedSimulation& sharded, const FleetOptions& optio
     cluster->tor = std::make_unique<TorNetwork>(sim, options_.tor);
     cluster->manager = std::make_unique<NymManager>(*cluster->host, images[static_cast<size_t>(shard)],
                                                     cluster->tor.get(), nullptr);
-    WebsiteProfile profile;
-    profile.name = "site-" + std::to_string(c);
-    profile.domain = "site" + std::to_string(c) + ".example.com";
-    cluster->site = std::make_unique<Website>(sim, profile);
-    cluster->host->ksm().Start(options_.ksm_interval);
+    cluster->sites = hooks_.MakeSites(sim, c);
+    NYMIX_CHECK(!cluster->sites.empty());
+    hooks_.AttachCluster(c, *cluster->host, cluster->sites);
+    cluster->create_options = hooks_.CreateOptionsFor(c);
     clusters_.push_back(std::move(cluster));
+    if (options_.ksm_interval == 0) {
+      continue;
+    }
+    Cluster* raw = clusters_.back().get();
+    raw->host->ksm().Start(options_.ksm_interval);
     // Snapshot this host's shareable-content histogram mid-run for the
     // cross-host reconcile. A plain scheduled event on the host's own loop:
     // shard-local, so exact virtual-time capture with no cross-thread read.
-    Cluster* raw = clusters_.back().get();
     sim.loop().ScheduleAt(options_.ksm_snapshot_time, [raw] {
       raw->ksm_snapshot = raw->host->ksm().ContentHistogram();
     });
@@ -179,12 +209,12 @@ SimDuration ShardedFleet::ThinkTime(ShardState& shard) {
 void ShardedFleet::SpawnNym(int slot) {
   Slot& state = slots_[static_cast<size_t>(slot)];
   const int epoch = state.epoch;
-  std::string name = "c" + std::to_string(state.cluster) + "-s" +
+  std::string name = hooks_.nym_prefix() + std::to_string(state.cluster) + "-s" +
                      std::to_string(slot % options_.nyms_per_host) + "-g" +
                      std::to_string(state.generation);
-  ClusterOf(slot).manager->CreateNym(
-      name, NymManager::CreateOptions{},
-      [this, slot, epoch](Result<Nym*> nym, NymStartupReport) {
+  Cluster& cluster = ClusterOf(slot);
+  cluster.manager->CreateNym(
+      name, cluster.create_options, [this, slot, epoch](Result<Nym*> nym, NymStartupReport) {
         Slot& state = slots_[static_cast<size_t>(slot)];
         if (state.finished || state.epoch != epoch) {
           // Abandoned or superseded while booting; tear the straggler down
@@ -213,6 +243,8 @@ void ShardedFleet::SpawnNym(int slot) {
         state.create_retries = 0;
         state.nym = *nym;
         state.visits_done = 0;
+        hooks_.OnNymReady(slot, state.cluster, *state.nym,
+                          sharded_.shard(ClusterOf(slot).shard).now());
         VisitNext(slot, epoch);
       });
 }
@@ -237,7 +269,8 @@ void ShardedFleet::VisitNext(int slot, int epoch) {
         .ScheduleAfter(ThinkTime(shard), [this, slot, epoch] { VisitNext(slot, epoch); });
     return;
   }
-  state.nym->browser()->Visit(*cluster.site, [this, slot, epoch](Result<SimTime> done) {
+  Website& site = *cluster.sites[static_cast<size_t>(state.visits_done) % cluster.sites.size()];
+  state.nym->browser()->Visit(site, [this, slot, epoch](Result<SimTime> done) {
     Cluster& cluster = ClusterOf(slot);
     ShardState& shard = *shard_states_[static_cast<size_t>(cluster.shard)];
     Slot& state = slots_[static_cast<size_t>(slot)];
@@ -355,6 +388,8 @@ void ShardedFleet::Advance(int slot, int epoch) {
         .ScheduleAfter(ThinkTime(shard), [this, slot, epoch] { Advance(slot, epoch); });
     return;
   }
+  hooks_.BeforeChurn(slot, state.cluster, state.generation, *state.nym,
+                     sharded_.shard(ClusterOf(slot).shard).now());
   ++state.generation;
   Status terminated = ClusterOf(slot).manager->TerminateNym(state.nym);
   NYMIX_CHECK_MSG(terminated.ok(), terminated.ToString().c_str());

@@ -1,24 +1,37 @@
 // ShardedFleet: a fleet of Nymix host clusters driven through the parallel
-// executor — the "core accepts a shard plan" integration point.
+// executor — the "core accepts a shard plan" integration point, and the
+// simulator's one implementation of the nymbox lifecycle (paper §3).
 //
-// The workload is the scale_fleet benchmark's: N nyms over ceil(N/8) hosts,
-// each host a cluster with its own test Tor deployment and destination
-// site, every nym visiting its cluster's site with think time and one
-// churn (terminate + replace) per slot. Hosts are assigned to shards
-// round-robin by creation index (ShardForIndex), so the partition — and
-// therefore every per-shard seed stream — depends only on (seed,
-// plan.shards), never on the thread count.
+// N nyms over ceil(N / nyms_per_host) hosts, each host a cluster with its
+// own test Tor deployment and destination sites. Every slot runs the same
+// loop: spawn a nym from the base image, visit the cluster's sites with
+// think time, churn (terminate + replace) once per generation. Hosts are
+// assigned to shards round-robin by creation index (ShardForIndex) unless
+// a placement says otherwise, so the partition — and therefore every
+// per-shard seed stream — depends only on (seed, plan), never on the
+// thread count. Serial runs use the same driver at ShardPlan{1, 1}.
+//
+// What a particular experiment does differently goes through FleetHooks,
+// passed to the constructor: which sites a cluster serves, what gets
+// attached to a cluster once it is built (src/adversary's taps), per-
+// cluster create options (leak plants), a step when a nym is ready and one
+// before it is churned, and the nym names and think stream. The default
+// hooks are the plain workload: one site "site-<c>" per cluster.
 //
 // Thread confinement: all per-slot callbacks run on the owning shard's
 // event loop, so every mutable field they touch (slot state, think Prng,
-// visit/churn counters) is per-shard. The only cross-shard operations are
-// the executor's epoch barrier and the post-run aggregations below.
+// visit/churn counters) is per-shard. Hooks called during Run() inherit
+// that rule: they may touch only state of their own slot or cluster. The
+// only cross-shard operations are the executor's epoch barrier and the
+// post-run aggregations below.
 //
-// KSM: each host's daemon scans periodically while its shard has active
-// slots; when a shard's last slot finishes, a shard-local event stops that
-// shard's daemons (a periodic daemon would otherwise keep its loop from
-// ever going idle). ReconcileKsm() then runs the deterministic cross-host
-// reconcile (src/hv/ksm_fleet.h) over all hosts in creation order.
+// KSM: each host's daemon scans every ksm_interval while its shard has
+// active slots; when a shard's last slot finishes, a shard-local event
+// stops that shard's daemons (a periodic daemon would otherwise keep its
+// loop from ever going idle). ReconcileKsm() then runs the deterministic
+// cross-host reconcile (src/hv/ksm_fleet.h) over all hosts in creation
+// order. ksm_interval == 0 turns KSM off: no daemon starts and no
+// snapshot is taken.
 #ifndef SRC_CORE_FLEET_H_
 #define SRC_CORE_FLEET_H_
 
@@ -84,6 +97,7 @@ struct FleetOptions {
   // Reference-mode toggles (flow waterfill / KSM rescan), for wall-clock
   // comparison benches. Virtual-time results are identical either way.
   bool full_recompute = false;
+  // KSM scan period; 0 runs the fleet without KSM.
   SimDuration ksm_interval = Seconds(2);
   // Virtual time at which each host snapshots its KSM content histogram
   // for the cross-host reconcile (shard-local event, so it is exact and
@@ -111,12 +125,44 @@ struct FleetOptions {
   }
 };
 
+// The narrow interface through which an experiment customizes the fleet.
+// Passed to the ShardedFleet constructor, which builds the clusters (so
+// virtual methods on a ShardedFleet subclass would not dispatch there);
+// the object must outlive the fleet. The base class is the default fleet.
+class FleetHooks {
+ public:
+  FleetHooks() = default;
+  FleetHooks(const FleetHooks&) = delete;
+  FleetHooks& operator=(const FleetHooks&) = delete;
+  virtual ~FleetHooks() = default;
+
+  // --- Cluster construction, in cluster order, after the cluster's host,
+  // Tor deployment and manager. Slots visit sites[visits_done % size()].
+  virtual std::vector<std::unique_ptr<Website>> MakeSites(Simulation& sim, int cluster);
+  virtual void AttachCluster(int cluster, HostMachine& host,
+                             const std::vector<std::unique_ptr<Website>>& sites);
+  // Options every nym of the cluster is created with.
+  virtual NymManager::CreateOptions CreateOptionsFor(int cluster);
+
+  // --- Slot lifecycle, on the owning shard's loop. OnNymReady runs when a
+  // spawned nym has booted, before its first visit; BeforeChurn runs before
+  // the nym is terminated, with the generation it served.
+  virtual void OnNymReady(int slot, int cluster, Nym& nym, SimTime now);
+  virtual void BeforeChurn(int slot, int cluster, int generation, Nym& nym, SimTime now);
+
+  // --- Naming: nyms are "<prefix><cluster>-s<i>-g<generation>"; the think
+  // stream is forked from the seed under this label.
+  virtual const char* nym_prefix() const;
+  virtual const char* think_label() const;
+};
+
 class ShardedFleet {
  public:
   // Builds every cluster up front (constructors only schedule shard-local
   // events). `sharded` must outlive the fleet; its plan fixes the host
-  // partition.
-  ShardedFleet(ShardedSimulation& sharded, const FleetOptions& options, uint64_t seed);
+  // partition. `hooks` (nullptr = the default FleetHooks) must too.
+  ShardedFleet(ShardedSimulation& sharded, const FleetOptions& options, uint64_t seed,
+               FleetHooks* hooks = nullptr);
   ~ShardedFleet();
 
   // Spawns every slot's first nym and drives the executor to quiescence.
@@ -181,7 +227,8 @@ class ShardedFleet {
     std::unique_ptr<HostMachine> host;
     std::unique_ptr<TorNetwork> tor;
     std::unique_ptr<NymManager> manager;
-    std::unique_ptr<Website> site;
+    std::vector<std::unique_ptr<Website>> sites;
+    NymManager::CreateOptions create_options;
     // Captured at ksm_snapshot_time by a shard-local event.
     std::map<uint64_t, uint64_t> ksm_snapshot;
   };
@@ -254,6 +301,7 @@ class ShardedFleet {
 
   ShardedSimulation& sharded_;
   FleetOptions options_;
+  FleetHooks& hooks_;
   bool crossed_ = false;  // kCrossed effective (needs >= 2 shards)
   std::vector<std::unique_ptr<Cluster>> clusters_;
   std::vector<Slot> slots_;

@@ -256,6 +256,40 @@ TEST(ParallelEquivalenceTest, FleetChurnSeedSweep) {
   }
 }
 
+// KSM off (ksm_interval == 0, how src/adversary runs its fleet): no daemon
+// starts and no snapshot is taken, so nothing is merged, skipped or shared
+// — and the merged output is still byte-identical at every thread count.
+TEST(ParallelEquivalenceTest, KsmOffFleetSharesNothingAndIsThreadStable) {
+  std::string base;
+  for (int threads : {1, 2, 4}) {
+    ShardedSimulation sharded(21, ShardPlan{3, threads});
+    sharded.EnableObservability(/*record_wall_time=*/false);
+    FleetOptions options;
+    options.nym_count = 6;
+    options.nyms_per_host = 2;
+    options.ksm_interval = 0;
+    ShardedFleet fleet(sharded, options, 21);
+    fleet.Run();
+    sharded.MergeObservability();
+    EXPECT_EQ(fleet.visits(), 24u);  // 6 slots x 2 visits x 2 generations
+    EXPECT_EQ(fleet.churns(), 6u);
+    EXPECT_EQ(fleet.ksm_memories_merged(), 0u);
+    EXPECT_EQ(fleet.ksm_memories_skipped(), 0u);
+    EXPECT_EQ(fleet.ksm_pages_sharing(), 0u);
+    EXPECT_EQ(fleet.ReconcileKsm().pages_sharing, 0u);
+
+    std::ostringstream out;
+    out << sharded.merged().trace.ToChromeJson();
+    sharded.merged().metrics.WriteJson(out);
+    EXPECT_EQ(out.str().find("ksm_scan"), std::string::npos);
+    if (base.empty()) {
+      base = out.str();
+    } else {
+      ASSERT_EQ(base, out.str()) << "threads " << threads;
+    }
+  }
+}
+
 // Repeating the same (seed, threads) run must also be bit-stable — guards
 // against leftover process-wide state (the old static id counters).
 TEST(ParallelEquivalenceTest, RepeatedRunsAreStable) {

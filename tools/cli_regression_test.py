@@ -4,6 +4,9 @@
 Covers the contracts a shell user (or CI script) relies on:
   * scale_fleet rejects unknown --topology= / --mode= values with exit 2
     and a usage line instead of silently falling back to a default.
+  * scale_fleet --help prints the usage and exits 0 without running; an
+    unknown flag, or a malformed or out-of-range value, exits 2 with a
+    usage line before any sweep starts.
   * nymfuzz --minimize re-shrinks a checked-in corpus entry: the rewritten
     file replays clean and carries a digest pin.
 
@@ -27,7 +30,47 @@ CORPUS_DIR = None
 
 class ScaleFleetCliTest(unittest.TestCase):
     def run_bench(self, *args):
-        return subprocess.run([SCALE_FLEET, *args], capture_output=True, text=True)
+        # In a scratch cwd with a timeout: a flag that slipped through would
+        # start the default multi-minute sweep and write BENCH_scale.json.
+        with tempfile.TemporaryDirectory() as tmp:
+            proc = subprocess.run([SCALE_FLEET, *args], capture_output=True, text=True,
+                                  cwd=tmp, timeout=60)
+            self.assertEqual(os.listdir(tmp), [], "usage path wrote files")
+        return proc
+
+    def test_help_prints_usage_and_exits_0(self):
+        proc = self.run_bench("--help")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertTrue(proc.stdout.startswith("usage: scale_fleet "))
+        self.assertIn("--warm-start[=CKPT]", proc.stdout)
+        self.assertNotIn("# scale_fleet:", proc.stdout)
+
+    def test_unknown_flag_exits_2_with_usage(self):
+        proc = self.run_bench("--n=8", "--bogus")
+        self.assertEqual(proc.returncode, 2)
+        self.assertIn('unknown argument "--bogus"', proc.stderr)
+        self.assertIn("usage: scale_fleet ", proc.stderr)
+
+    def test_malformed_values_exit_2_with_usage(self):
+        cases = [("--n=abc", "--n=N[,N...]"), ("--n=", "--n=N[,N...]"),
+                 ("--n=8,,64", "--n=N[,N...]"), ("--seed=x", "--seed=SEED"),
+                 ("--seed=-1", "--seed=SEED"), ("--threads=two", "--threads=T[,T...]"),
+                 ("--shards=4x", "--shards=K"), ("--out=", "--out=PATH")]
+        for arg, usage in cases:
+            with self.subTest(arg=arg):
+                proc = self.run_bench(arg)
+                self.assertEqual(proc.returncode, 2, proc.stderr)
+                self.assertIn('bad value "%s"' % arg, proc.stderr)
+                self.assertIn("usage: scale_fleet [%s]" % usage, proc.stderr)
+
+    def test_out_of_range_values_exit_2_with_usage(self):
+        cases = [("--shards=0", "--shards=K"), ("--n=0", "--n=N[,N...]"),
+                 ("--n=-3", "--n=N[,N...]"), ("--threads=1,0", "--threads=T[,T...]")]
+        for arg, usage in cases:
+            with self.subTest(arg=arg):
+                proc = self.run_bench(arg)
+                self.assertEqual(proc.returncode, 2, proc.stderr)
+                self.assertIn("usage: scale_fleet [%s]" % usage, proc.stderr)
 
     def test_unknown_topology_exits_2_with_usage(self):
         proc = self.run_bench("--topology=bogus")
