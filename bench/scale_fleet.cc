@@ -3,7 +3,7 @@
 // §5.2 16 GB desktop comfortably fits 8 nymboxes), each host with live KSM
 // scanning, a private test Tor deployment, and a Tor-fetch browsing
 // workload with nym churn (terminate + replace). This is the harness for
-// the incremental hot paths (docs/performance.md): KSM delta scans,
+// the incremental hot paths (docs/performance.md): closed-form KSM scans,
 // dirty-driven fair-share rescheduling, and the event-loop node pool.
 // Every point, serial or threaded, is one ShardedFleet run (src/core/fleet.h)
 // with the FleetOptions defaults; the serial series runs it at

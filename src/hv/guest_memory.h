@@ -8,6 +8,10 @@
 //   image       — pages backed by base-image blocks; identical across every
 //                 VM booted from the same USB image
 //   unique      — dirtied pages (heaps, browser state); never mergeable
+//
+// Closed form: image pages are the first `mapped` pages of the image's block
+// cycle minus the first `dirtied` of those in content-id order, so every
+// mutation is O(1) and no histogram is stored.
 #ifndef SRC_HV_GUEST_MEMORY_H_
 #define SRC_HV_GUEST_MEMORY_H_
 
@@ -15,7 +19,6 @@
 #include <map>
 
 #include "src/unionfs/disk_image.h"
-#include "src/util/prng.h"
 
 namespace nymix {
 
@@ -39,7 +42,7 @@ class GuestMemory {
   uint64_t total_bytes() const { return total_pages_ * kPageSize; }
 
   // Creation-order sequence number (same contract as Link::id()): the KSM
-  // daemon keys its per-memory delta state by this instead of by pointer,
+  // daemon keys its per-memory scan state by this instead of by pointer,
   // so iteration order is reproducible run to run.
   uint64_t id() const { return id_; }
 
@@ -50,23 +53,32 @@ class GuestMemory {
   uint64_t generation() const { return generation_; }
 
   uint64_t zero_pages() const { return zero_pages_; }
-  uint64_t image_pages() const { return ImagePageCount(); }
+  uint64_t image_pages() const { return mapped_ - dirtied_; }
   uint64_t unique_pages() const { return unique_pages_; }
 
-  // Boot: maps `count` pages to base-image block contents (page cache,
-  // text segments). Cycles deterministically through the image blocks so
-  // two VMs on the same image produce identical ids.
+  // Image pages mapped since the last Wipe, and how many were dirtied since.
+  uint64_t mapped_image_pages() const { return mapped_; }
+  uint64_t dirtied_image_pages() const { return dirtied_; }
+
+  // The image behind the mapped pages (nullptr if none). Aborts if it was
+  // tampered with since: the pages would change without a generation bump.
+  const BaseImage* image() const;
+
+  // Boot: maps `count` zero pages to base-image block contents (page cache,
+  // text segments), cycling through the blocks from where the last call
+  // stopped — Map(a); Map(b) ≡ Map(a + b) — so two VMs on the same image
+  // produce identical ids. One image per memory until Wipe.
   void MapImagePages(const BaseImage& image, uint64_t count);
 
-  // Dirties pages into unique content: first consumes zero pages, then
-  // converts image-backed pages (copy-on-write break), never un-dirties.
-  void DirtyPages(uint64_t count, Prng& prng);
+  // Dirties pages into count-only unique content: first consumes zero
+  // pages, then converts image-backed pages (copy-on-write break) in
+  // ascending content order, never un-dirties.
+  void DirtyPages(uint64_t count);
 
-  // Shareable-content histogram merged by the KSM scanner: content id ->
-  // page count, covering zero and image-backed pages. Unique pages never
-  // merge, so they are tracked only as a count (unique_pages()) — this keeps
-  // an 8-nym scan cheap instead of carrying ~100k singleton entries per VM.
-  const std::map<uint64_t, uint64_t>& pages_by_content() const { return pages_by_content_; }
+  // Shareable-content histogram: content id -> page count, covering zero
+  // and image-backed pages, with no zero-count entries. Unique pages never
+  // merge, so they are only counted (unique_pages()).
+  std::map<uint64_t, uint64_t> pages_by_content() const;
 
   // Secure erase at nym termination: every page becomes zero again and the
   // unique ids are discarded (§3.4 "securely erases the AnonVM's and
@@ -74,18 +86,22 @@ class GuestMemory {
   void Wipe();
 
  private:
-  uint64_t ImagePageCount() const;
-
   uint64_t id_;
   uint64_t generation_ = 1;
   uint64_t total_pages_;
   uint64_t zero_pages_;
   uint64_t unique_pages_ = 0;
-  std::map<uint64_t, uint64_t> pages_by_content_;
-  // Image-backed content ids currently mapped (subset of pages_by_content_).
-  std::map<uint64_t, uint64_t> image_contents_;
-  uint64_t next_unique_tag_;
+  const BaseImage* image_ = nullptr;
+  uint64_t image_mutation_ = 0;  // image's mutation_count() at map time
+  uint64_t mapped_ = 0;
+  uint64_t dirtied_ = 0;
 };
+
+// (content id, pages summed over `memories`) for every content they hold,
+// ascending. Memories of one shape — (image, mapped_image_pages()) — are
+// walked together, along the mapped part of the image's content order.
+std::vector<std::pair<uint64_t, uint64_t>> ContentTotals(
+    const std::vector<const GuestMemory*>& memories);
 
 }  // namespace nymix
 

@@ -1,6 +1,6 @@
 #include "src/hv/ksm.h"
 
-#include <set>
+#include <utility>
 
 namespace nymix {
 
@@ -31,57 +31,9 @@ void KsmDaemon::set_full_rescan(bool full) {
     return;
   }
   full_rescan_ = full;
-  // Either direction invalidates the delta baseline: the full path does not
-  // maintain it, so re-entering incremental mode must start from scratch.
-  tracked_.clear();
-  content_counts_.clear();
-  shared_ = 0;
-  sharing_ = 0;
-}
-
-void KsmDaemon::RetotalContent(uint64_t content, uint64_t old_total, uint64_t new_total) {
-  if (old_total > 1) {
-    shared_ -= 1;
-    sharing_ -= old_total;
-  }
-  if (new_total > 1) {
-    shared_ += 1;
-    sharing_ += new_total;
-  }
-  if (new_total == 0) {
-    content_counts_.erase(content);
-  } else {
-    content_counts_[content] = new_total;
-  }
-}
-
-void KsmDaemon::ApplyDelta(TrackedMemory& tracked, const std::map<uint64_t, uint64_t>& next) {
-  // Merge-walk the old and new histograms (both sorted by content id) and
-  // re-total every content whose per-memory count moved.
-  auto old_it = tracked.last_contents.begin();
-  auto new_it = next.begin();
-  auto retotal = [this](uint64_t content, uint64_t was, uint64_t now) {
-    auto idx = content_counts_.find(content);
-    uint64_t old_total = idx == content_counts_.end() ? 0 : idx->second;
-    RetotalContent(content, old_total, old_total - was + now);
-  };
-  while (old_it != tracked.last_contents.end() || new_it != next.end()) {
-    if (new_it == next.end() ||
-        (old_it != tracked.last_contents.end() && old_it->first < new_it->first)) {
-      retotal(old_it->first, old_it->second, 0);
-      ++old_it;
-    } else if (old_it == tracked.last_contents.end() || new_it->first < old_it->first) {
-      retotal(new_it->first, 0, new_it->second);
-      ++new_it;
-    } else {
-      if (old_it->second != new_it->second) {
-        retotal(new_it->first, old_it->second, new_it->second);
-      }
-      ++old_it;
-      ++new_it;
-    }
-  }
-  tracked.last_contents = next;
+  // Either direction invalidates the merged generations: the full path does
+  // not maintain them, so re-entering incremental mode must start afresh.
+  last_generation_.clear();
 }
 
 KsmStats KsmDaemon::FullRescan(const std::vector<const GuestMemory*>& memories,
@@ -116,36 +68,25 @@ KsmStats KsmDaemon::ScanNow() {
   if (full_rescan_) {
     stats_ = FullRescan(memories, &pages_scanned);
   } else {
-    // Delta pass: re-merge only memories whose generation moved since the
-    // last pass (all of them, on the first pass), and retire memories that
-    // disappeared (VM stopped or destroyed). Deltas are integer-exact and
-    // commutative, so the result is bit-identical to a full re-merge.
-    std::set<uint64_t> seen;
+    // Re-merge only if some memory's generation moved since the last pass
+    // (all of them, on the first pass) or a memory disappeared (VM stopped
+    // or destroyed). The merge is integer-exact, so it is bit-identical to
+    // a full re-merge.
+    std::map<uint64_t, uint64_t> previous = std::exchange(last_generation_, {});
     for (const GuestMemory* memory : memories) {
-      seen.insert(memory->id());
-      TrackedMemory& tracked = tracked_[memory->id()];
-      if (tracked.last_generation == memory->generation()) {
+      last_generation_[memory->id()] = memory->generation();
+      auto last = previous.extract(memory->id());
+      if (!last.empty() && last.mapped() == memory->generation()) {
         ++skipped;
         continue;
       }
       ++memories_merged_;
-      for (const auto& [content, count] : memory->pages_by_content()) {
-        (void)content;
-        pages_scanned += count;
-      }
-      ApplyDelta(tracked, memory->pages_by_content());
-      tracked.last_generation = memory->generation();
+      pages_scanned += memory->zero_pages() + memory->image_pages();
     }
-    static const std::map<uint64_t, uint64_t> kEmptyContents;
-    for (auto it = tracked_.begin(); it != tracked_.end();) {
-      if (seen.count(it->first) == 0) {
-        ApplyDelta(it->second, kEmptyContents);
-        it = tracked_.erase(it);
-      } else {
-        ++it;
-      }
+    // `previous` now holds only the memories that disappeared.
+    if (skipped < memories.size() || !previous.empty()) {
+      stats_ = KsmStats::Merge(ContentTotals(memories));
     }
-    stats_ = KsmStats{shared_, sharing_};
   }
 
   memories_skipped_ += skipped;
@@ -189,17 +130,11 @@ void KsmDaemon::Stop() {
 }
 
 std::map<uint64_t, uint64_t> KsmDaemon::ContentHistogram() const {
-  // Rebuilt from the live memories, not from content_counts_: the
-  // incremental index lags mutations made since the last ScanNow and is
-  // empty entirely under full_rescan, while the fleet reconcile
-  // (src/hv/ksm_fleet.h) must see the same histogram either way.
-  std::map<uint64_t, uint64_t> histogram;
-  for (const GuestMemory* memory : memories_()) {
-    for (const auto& [content, pages] : memory->pages_by_content()) {
-      histogram[content] += pages;
-    }
-  }
-  return histogram;
+  // Built from the live memories, not from the last ScanNow: that result
+  // lags mutations made since, while the fleet reconcile
+  // (src/hv/ksm_fleet.h) must see the same histogram in every scan mode.
+  std::vector<std::pair<uint64_t, uint64_t>> totals = ContentTotals(memories_());
+  return std::map<uint64_t, uint64_t>(totals.begin(), totals.end());
 }
 
 void KsmDaemon::Tick() {

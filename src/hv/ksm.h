@@ -4,15 +4,14 @@
 // boot from the same base image, image-backed pages merge across nyms —
 // the paper measures "over 5% saving at 8 nyms".
 //
-// Scans are incremental: the daemon keeps a host-level content-count index
-// (content hash → pages across all tracked memories) plus, per memory, the
-// write-generation and content histogram it last merged. A pass re-merges
-// only memories whose GuestMemory::generation() moved, applying the
-// histogram delta to the index and to the running shared/sharing
-// aggregates. The invariant (docs/performance.md): after any pass, stats()
-// is bit-identical to what a from-scratch merge over all live memories
-// would produce — enforced by tests/perf_equivalence_test.cc against the
-// reference full-rescan path kept behind set_full_rescan(true).
+// Scans are closed-form: memories fall into a few shapes (image, mapped
+// pages) that differ only in their dirtied prefix (src/hv/guest_memory.h),
+// and a pass totals each content over whole shapes (ContentTotals). The
+// daemon keeps only each memory's last merged write-generation; a pass in
+// which none moved and no memory vanished reuses the last result. The
+// invariant (docs/performance.md): stats() is bit-identical to a full
+// merge of every live memory's pages_by_content() — the reference path
+// behind set_full_rescan(true), enforced by tests/perf_equivalence_test.cc.
 #ifndef SRC_HV_KSM_H_
 #define SRC_HV_KSM_H_
 
@@ -34,6 +33,20 @@ struct KsmStats {
   // Host pages freed by merging: pages_sharing - pages_shared.
   uint64_t pages_saved() const { return pages_sharing - pages_shared; }
   uint64_t bytes_saved() const { return pages_saved() * kPageSize; }
+
+  // The merge of a (content id, pages) histogram: every content with more
+  // than one page costs one physical page for all of its mappings.
+  template <typename Histogram>
+  static KsmStats Merge(const Histogram& histogram) {
+    KsmStats stats;
+    for (const auto& [content, pages] : histogram) {
+      if (pages > 1) {
+        stats.pages_shared += 1;
+        stats.pages_sharing += pages;
+      }
+    }
+    return stats;
+  }
 };
 
 class KsmDaemon {
@@ -44,8 +57,8 @@ class KsmDaemon {
   // One scan pass (instantaneous in virtual time). Real ksmd sweeps
   // incrementally; Nymix's measurement points are all post-stabilization,
   // so a full merge summary at each tick is the faithful result — this
-  // implementation just reaches it by delta instead of by rescanning the
-  // world.
+  // implementation just reaches it by shape arithmetic instead of by
+  // rescanning every page.
   KsmStats ScanNow();
 
   // Enables periodic scanning. Calling Start while already running adopts
@@ -60,14 +73,14 @@ class KsmDaemon {
   // Reference implementation hook: rescan and re-merge everything on every
   // pass (the pre-incremental behavior). Benches use it for wall-clock
   // comparison; the equivalence tests assert bit-identical stats against
-  // it. Enabling it drops the incremental state, so switching back starts
-  // from a clean first-scan baseline.
+  // it. Enabling it drops the per-memory generations, so switching back
+  // starts from a clean first-scan baseline.
   void set_full_rescan(bool full);
   bool full_rescan() const { return full_rescan_; }
 
   // Fleet-wide reconcile input (src/hv/ksm_fleet.h): the live content
   // histogram (content id → total pages) across every tracked memory,
-  // rebuilt from the memories themselves so the result is independent of
+  // built from the memories themselves so the result is independent of
   // scan mode (incremental vs full_rescan) and of when ScanNow last ran.
   std::map<uint64_t, uint64_t> ContentHistogram() const;
 
@@ -77,21 +90,7 @@ class KsmDaemon {
   uint64_t memories_skipped() const { return memories_skipped_; }
 
  private:
-  // Per-memory delta state, keyed by GuestMemory::id().
-  struct TrackedMemory {
-    uint64_t last_generation = 0;
-    // The content histogram as of the last merge; diffed against the live
-    // histogram to produce index deltas.
-    std::map<uint64_t, uint64_t> last_contents;
-  };
-
   void Tick();
-  // Applies `next` minus `tracked.last_contents` to the content index and
-  // aggregates, then snapshots `next` into the tracked state.
-  void ApplyDelta(TrackedMemory& tracked, const std::map<uint64_t, uint64_t>& next);
-  // Moves one content's total from `old_total` to `new_total`, maintaining
-  // the shared/sharing aggregates.
-  void RetotalContent(uint64_t content, uint64_t old_total, uint64_t new_total);
   KsmStats FullRescan(const std::vector<const GuestMemory*>& memories,
                       uint64_t* pages_scanned);
   void RefreshMeters();
@@ -103,12 +102,9 @@ class KsmDaemon {
   bool running_ = false;
   uint64_t pending_event_ = 0;
 
-  // --- Incremental index -------------------------------------------------
   bool full_rescan_ = false;
-  std::map<uint64_t, TrackedMemory> tracked_;      // by GuestMemory::id()
-  std::map<uint64_t, uint64_t> content_counts_;    // content → total pages
-  uint64_t shared_ = 0;   // contents with total > 1
-  uint64_t sharing_ = 0;  // pages under those contents
+  // GuestMemory::id() → the generation last merged (incremental mode only).
+  std::map<uint64_t, uint64_t> last_generation_;
 
   uint64_t passes_ = 0;
   uint64_t memories_merged_ = 0;

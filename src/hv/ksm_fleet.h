@@ -8,9 +8,9 @@
 // hosts exactly as they do across VMs): it folds per-host content
 // histograms into one fleet histogram and re-derives shared/sharing totals.
 //
-// Determinism: Reconcile is pure — it reads per-host histograms (rebuilt
+// Determinism: the reconcile is pure — it reads per-host histograms (built
 // from live memories, scan-mode independent) and merges std::maps in the
-// order the daemons are passed. ShardedFleet passes hosts in creation
+// order the hosts are passed. ShardedFleet passes hosts in creation
 // order, so the result is byte-identical across thread counts and
 // identical between a sharded run and an unsharded one with the same
 // per-host contents.
@@ -41,16 +41,10 @@ struct FleetKsmStats {
 
 class FleetKsmIndex {
  public:
-  // Pass daemons in host creation order (the caller's stable order is part
-  // of the determinism contract, though the merged totals are order-
-  // independent anyway since histogram addition commutes). Reads the LIVE
-  // histograms — a fleet whose nyms have all terminated reconciles to zero
-  // by design (§3.4: wiped memory holds nothing to merge).
-  static FleetKsmStats Reconcile(const std::vector<const KsmDaemon*>& daemons);
-
-  // Same reconcile over captured per-host histograms (one per host, in
-  // host creation order) — what ShardedFleet feeds it from its fixed-
-  // virtual-time snapshots, taken while the nyms are still alive.
+  // Reconciles captured per-host histograms (KsmDaemon::ContentHistogram,
+  // one per host, in host creation order — part of the determinism
+  // contract, though histogram addition commutes anyway). ShardedFleet
+  // feeds it fixed-virtual-time snapshots taken while the nyms are alive.
   static FleetKsmStats ReconcileHistograms(
       const std::vector<std::map<uint64_t, uint64_t>>& hosts);
 };

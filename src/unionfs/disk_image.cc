@@ -1,5 +1,7 @@
 #include "src/unionfs/disk_image.h"
 
+#include <algorithm>
+
 namespace nymix {
 
 namespace {
@@ -101,6 +103,22 @@ Result<std::shared_ptr<BaseImage>> BaseImage::CreateDistributionFromCheckpoint(
 uint64_t BaseImage::BlockContentId(uint64_t block_index) const {
   NYMIX_CHECK(block_index < block_digests_.size());
   return DigestPrefix64(block_digests_[block_index]);
+}
+
+const BaseImage::ContentOrder& BaseImage::content_order() const {
+  if (ordered_mutation_ != static_cast<int64_t>(mutation_count_)) {
+    content_order_.blocks.clear();
+    for (uint64_t block = 0; block < block_count(); ++block) {
+      content_order_.blocks.emplace_back(BlockContentId(block), block);
+    }
+    std::sort(content_order_.blocks.begin(), content_order_.blocks.end());
+    content_order_.position_of.resize(block_count());
+    for (uint64_t position = 0; position < block_count(); ++position) {
+      content_order_.position_of[content_order_.blocks[position].second] = position;
+    }
+    ordered_mutation_ = static_cast<int64_t>(mutation_count_);
+  }
+  return content_order_;
 }
 
 Sha256Digest BaseImage::ReadBlockDigest(uint64_t block_index) const {

@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/crypto/merkle.h"
 #include "src/unionfs/union_fs.h"
@@ -54,6 +55,16 @@ class BaseImage {
   // image, which is what makes KSM effective.
   uint64_t BlockContentId(uint64_t block_index) const;
 
+  // The (content id, block index) pairs in ascending order — a content's
+  // duplicate blocks sit side by side — and each block's position in it.
+  // Guest memory derives page histograms from it. Memoized by
+  // mutation_count, like VerifyAllBlocks.
+  struct ContentOrder {
+    std::vector<std::pair<uint64_t, uint64_t>> blocks;
+    std::vector<uint64_t> position_of;
+  };
+  const ContentOrder& content_order() const;
+
   // Block digest as read "from disk" — reflects tampering.
   Sha256Digest ReadBlockDigest(uint64_t block_index) const;
 
@@ -77,7 +88,7 @@ class BaseImage {
   void TamperBlock(uint64_t block_index, uint64_t new_seed);
 
   // Bumped on every TamperBlock; verification layers use it to cache a
-  // full-image check.
+  // full-image check, guest memory to detect a tamper under mapped pages.
   uint64_t mutation_count() const { return mutation_count_; }
 
  private:
@@ -93,6 +104,9 @@ class BaseImage {
   // VerifyAllBlocks memo: last mutation epoch checked and its verdict.
   mutable int64_t verified_mutation_ = -1;
   mutable bool verified_ok_ = false;
+  // content_order() memo: the order and the mutation epoch it was built at.
+  mutable ContentOrder content_order_;
+  mutable int64_t ordered_mutation_ = -1;
 };
 
 class VmDisk {

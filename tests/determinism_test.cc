@@ -139,7 +139,7 @@ std::string RunFaultScenario(uint64_t seed, bool full_recompute = false) {
 // ShardPlan{1, 1}, with FleetOptions::full_recompute selecting the mode —
 // the same driver the bench runs. Two hosts with live KSM scanning, a
 // private Tor deployment each, and two churning nyms per host cover the
-// other incremental hot path (KSM delta scans) and the whole
+// other incremental hot path (closed-form KSM scans) and the whole
 // boot/visit/terminate machinery; a small image keeps it unit-test sized.
 struct FleetScenarioRun {
   std::string trace;

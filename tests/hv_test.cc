@@ -32,27 +32,25 @@ TEST(GuestMemoryTest, MapImagePagesSharedAcrossVms) {
 
 TEST(GuestMemoryTest, DirtyConsumesZeroThenImage) {
   auto image = TestImage();
-  Prng prng(1);
   GuestMemory memory(4 * kMiB);  // 1024 pages
   memory.MapImagePages(*image, 200);
   EXPECT_EQ(memory.zero_pages(), 824u);
-  memory.DirtyPages(824, prng);
+  memory.DirtyPages(824);
   EXPECT_EQ(memory.zero_pages(), 0u);
   EXPECT_EQ(memory.image_pages(), 200u);
-  memory.DirtyPages(100, prng);  // breaks COW on image pages
+  memory.DirtyPages(100);  // breaks COW on image pages
   EXPECT_EQ(memory.image_pages(), 100u);
   EXPECT_EQ(memory.unique_pages(), 924u);
   // Cannot dirty more than exists.
-  memory.DirtyPages(10'000, prng);
+  memory.DirtyPages(10'000);
   EXPECT_EQ(memory.unique_pages(), memory.total_pages());
 }
 
 TEST(GuestMemoryTest, WipeRestoresZeroState) {
   auto image = TestImage();
-  Prng prng(1);
   GuestMemory memory(4 * kMiB);
   memory.MapImagePages(*image, 100);
-  memory.DirtyPages(500, prng);
+  memory.DirtyPages(500);
   memory.Wipe();
   EXPECT_EQ(memory.zero_pages(), memory.total_pages());
   EXPECT_EQ(memory.unique_pages(), 0u);
@@ -78,11 +76,10 @@ TEST(KsmTest, MergesZeroAndImagePagesAcrossVms) {
 
 TEST(KsmTest, UniquePagesNeverMerge) {
   EventLoop loop;
-  Prng prng(1);
   GuestMemory a(4 * kMiB);
   GuestMemory b(4 * kMiB);
-  a.DirtyPages(1024, prng);
-  b.DirtyPages(1024, prng);
+  a.DirtyPages(1024);
+  b.DirtyPages(1024);
   KsmDaemon ksm(loop, [&] { return std::vector<const GuestMemory*>{&a, &b}; });
   EXPECT_EQ(ksm.ScanNow().pages_sharing, 0u);
 }
@@ -91,12 +88,13 @@ TEST(KsmTest, PeriodicScanUpdatesStats) {
   EventLoop loop;
   auto image = TestImage();
   GuestMemory a(4 * kMiB);
-  KsmDaemon ksm(loop, [&] { return std::vector<const GuestMemory*>{&a}; });
+  GuestMemory b(4 * kMiB);
+  KsmDaemon ksm(loop, [&] { return std::vector<const GuestMemory*>{&a, &b}; });
   ksm.Start(Seconds(2));
   loop.RunUntil(Seconds(1));
   uint64_t early = ksm.stats().pages_sharing;  // only zero pages (all merge)
   a.MapImagePages(*image, 512);
-  a.MapImagePages(*image, 512);  // maps blocks 0..511 twice -> duplicates
+  b.MapImagePages(*image, 512);  // the same blocks 0..511 -> duplicates
   loop.RunUntil(Seconds(5));
   EXPECT_GE(ksm.stats().pages_sharing, early);
   ksm.Stop();

@@ -1,15 +1,18 @@
 // Equivalence tests for the incremental hot paths (docs/performance.md):
-// the KSM delta scanner and the dirty-driven fair-share scheduler must
+// the closed-form KSM scanner and the dirty-driven fair-share scheduler must
 // produce results bit-identical to their reference full-recompute
 // implementations (set_full_rescan / set_full_recompute), under randomized
 // seeded stress. The introspection counters double-check that the
 // incremental paths were actually taken — an equivalence test that silently
 // fell back to full recomputation would prove nothing.
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/crypto/merkle.h"
 #include "src/hv/ksm.h"
 #include "src/net/simulation.h"
 #include "src/util/prng.h"
@@ -46,6 +49,15 @@ class KsmEquivalenceTest : public ::testing::Test {
     KsmStats b = reference_.ScanNow();
     ASSERT_EQ(a.pages_shared, b.pages_shared);
     ASSERT_EQ(a.pages_sharing, b.pages_sharing);
+    // The reconcile snapshot merges shapes too; it must equal the sum of
+    // the per-memory histograms.
+    std::map<uint64_t, uint64_t> summed;
+    for (const auto& memory : memories_) {
+      for (const auto& [content, pages] : memory->pages_by_content()) {
+        summed[content] += pages;
+      }
+    }
+    ASSERT_EQ(incremental_.ContentHistogram(), summed);
   }
 
   EventLoop loop_;
@@ -57,14 +69,26 @@ class KsmEquivalenceTest : public ::testing::Test {
 
 TEST_F(KsmEquivalenceTest, RandomizedMutationsStayBitIdentical) {
   Prng prng(0xBEEF);
+  // Three images: the fixture's, a different one, and a same-seed copy of
+  // the fixture's — distinct objects whose identical contents must merge.
+  auto other = BaseImage::CreateDistribution("img", 8, 8 * kMiB);
+  auto copy = BaseImage::CreateDistribution("img", 7, 8 * kMiB);
+  const std::vector<const BaseImage*> images = {image_.get(), other.get(), copy.get()};
+  // VMs of one role map the same page count, so shapes repeat; 2600 pages
+  // wrap the 2048-block images. 12 MiB of RAM runs out of zero pages within
+  // a few dirtyings, after which image pages are dirtied too.
+  const uint64_t kRam = 12 * kMiB;
+  const uint64_t kRolePages[] = {1200, 2600};
   for (int i = 0; i < 4; ++i) {
-    AddMemory().MapImagePages(*image_, 1500 + 200 * static_cast<uint64_t>(i));
+    AddMemory(kRam).MapImagePages(*images[static_cast<size_t>(i) % images.size()],
+                                  kRolePages[i % 2]);
   }
-  for (int round = 0; round < 60; ++round) {
+  for (int round = 0; round < 150; ++round) {
     switch (prng.NextBelow(6)) {
       case 0:  // a VM boots
         if (memories_.size() < 8) {
-          AddMemory().MapImagePages(*image_, prng.NextInRange(500, 3000));
+          const BaseImage& image = *images[prng.NextBelow(images.size())];
+          AddMemory(kRam).MapImagePages(image, kRolePages[prng.NextBelow(2)]);
         }
         break;
       case 1:  // a VM is destroyed (vanishes from enumeration)
@@ -78,13 +102,18 @@ TEST_F(KsmEquivalenceTest, RandomizedMutationsStayBitIdentical) {
         break;
       case 3: {  // browser heap growth
         GuestMemory& memory = *memories_[prng.NextBelow(memories_.size())];
-        memory.DirtyPages(prng.NextInRange(1, 800), prng);
+        memory.DirtyPages(prng.NextInRange(1, 800));
         break;
       }
-      case 4:  // page-cache growth
-        memories_[prng.NextBelow(memories_.size())]->MapImagePages(
-            *image_, prng.NextInRange(1, 500));
+      case 4: {  // page-cache growth, from the image the memory already maps
+        GuestMemory& memory = *memories_[prng.NextBelow(memories_.size())];
+        const BaseImage* image = memory.image();
+        if (image == nullptr) {
+          image = images[prng.NextBelow(images.size())];
+        }
+        memory.MapImagePages(*image, prng.NextInRange(1, 500));
         break;
+      }
       default:  // quiet round: nothing changes, deltas must still agree
         break;
     }
@@ -93,12 +122,28 @@ TEST_F(KsmEquivalenceTest, RandomizedMutationsStayBitIdentical) {
       return;
     }
   }
-  // The incremental daemon genuinely took the delta path: quiet rounds
+  // The incremental daemon genuinely took the skip path: quiet rounds
   // skipped clean memories and far fewer merges happened than the
   // reference's everything-every-pass.
   EXPECT_GT(incremental_.memories_skipped(), 0u);
   EXPECT_LT(incremental_.memories_merged(), reference_.memories_merged());
   EXPECT_EQ(reference_.memories_skipped(), 0u);
+}
+
+TEST_F(KsmEquivalenceTest, DirtiedPrefixesWithinAShapeMatchTheReference) {
+  // Two shapes on one image (the second wraps the 2048 blocks), each with
+  // memories at equal and distinct dirtied prefixes. RAM equals the mapped
+  // pages, so every dirtied page breaks an image page.
+  for (auto [mapped, dirtied] : std::vector<std::pair<uint64_t, std::vector<uint64_t>>>{
+           {1500, {0, 0, 300, 300, 301, 1499, 1500}}, {2600, {0, 100, 100, 2047, 2600}}}) {
+    for (uint64_t d : dirtied) {
+      GuestMemory& memory = AddMemory(mapped * kPageSize);
+      memory.MapImagePages(*image_, mapped);
+      memory.DirtyPages(d);
+    }
+  }
+  ExpectScansAgree();
+  EXPECT_GT(incremental_.stats().pages_sharing, 0u);
 }
 
 TEST_F(KsmEquivalenceTest, FirstScanIsAFullPass) {
@@ -124,14 +169,13 @@ TEST_F(KsmEquivalenceTest, TogglingFullRescanRebuildsFromScratch) {
   AddMemory().MapImagePages(*image_, 1200);
   AddMemory().MapImagePages(*image_, 800);
   ExpectScansAgree();
-  // Switch the incremental daemon to full and back: the delta baseline is
-  // dropped both ways, and the next incremental pass starts clean.
+  // Switch the incremental daemon to full and back: the merged generations
+  // are dropped both ways, and the next incremental pass starts clean.
   incremental_.set_full_rescan(true);
   ExpectScansAgree();
   incremental_.set_full_rescan(false);
   ExpectScansAgree();
-  Prng prng(3);
-  memories_[0]->DirtyPages(300, prng);
+  memories_[0]->DirtyPages(300);
   ExpectScansAgree();
 }
 
@@ -142,12 +186,163 @@ TEST(GuestMemoryTest, GenerationBumpsOnEveryMutation) {
   memory.MapImagePages(*image, 100);
   EXPECT_GT(memory.generation(), generation);
   generation = memory.generation();
-  Prng prng(1);
-  memory.DirtyPages(10, prng);
+  memory.DirtyPages(10);
   EXPECT_GT(memory.generation(), generation);
   generation = memory.generation();
   memory.Wipe();
   EXPECT_GT(memory.generation(), generation);
+}
+
+// ------------------------------------------------- closed-form guest memory
+
+// Page-by-page reference for GuestMemory's closed form: every mapped page
+// is materialized as a block content id, mapping continues the block cycle
+// across calls, and dirtying breaks image pages in ascending content order.
+class BruteForceMemory {
+ public:
+  explicit BruteForceMemory(uint64_t total_pages) : total_(total_pages), zero_(total_pages) {}
+
+  void MapImagePages(const BaseImage& image, uint64_t count) {
+    count = std::min(count, zero_);
+    for (uint64_t i = 0; i < count; ++i) {
+      ++image_[image.BlockContentId(next_block_++ % image.block_count())];
+    }
+    zero_ -= count;
+  }
+
+  void DirtyPages(uint64_t count) {
+    uint64_t image_pages = 0;
+    for (const auto& [content, pages] : image_) {
+      image_pages += pages;
+    }
+    count = std::min(count, zero_ + image_pages);
+    uint64_t from_zero = std::min(count, zero_);
+    zero_ -= from_zero;
+    for (uint64_t remaining = count - from_zero; remaining > 0; --remaining) {
+      auto lowest = image_.begin();
+      if (--lowest->second == 0) {
+        image_.erase(lowest);
+      }
+    }
+  }
+
+  void Wipe() {
+    zero_ = total_;
+    image_.clear();
+    next_block_ = 0;
+  }
+
+  std::map<uint64_t, uint64_t> Histogram() const {
+    std::map<uint64_t, uint64_t> histogram = image_;
+    if (zero_ > 0) {
+      histogram[kZeroPageContent] += zero_;
+    }
+    return histogram;
+  }
+
+ private:
+  uint64_t total_;
+  uint64_t zero_;
+  uint64_t next_block_ = 0;
+  std::map<uint64_t, uint64_t> image_;
+};
+
+// A 64-block image in which blocks repeat one of 7 digests (block i holds
+// block i % 7's), built through the checkpoint path with a matching tree.
+std::shared_ptr<BaseImage> DuplicateBlockImage() {
+  constexpr uint64_t kBlocks = 64;
+  auto source = BaseImage::CreateDistribution("dup", 5, kBlocks * kDiskBlockSize);
+  std::vector<Sha256Digest> digests;
+  for (uint64_t i = 0; i < kBlocks; ++i) {
+    digests.push_back(source->ReadBlockDigest(i % 7));
+  }
+  MerkleTree merkle = MerkleTree::Build(digests);
+  auto image = BaseImage::CreateDistributionFromCheckpoint("dup", 5, kBlocks * kDiskBlockSize,
+                                                           std::move(digests), std::move(merkle));
+  NYMIX_CHECK(image.ok());
+  return *image;
+}
+
+TEST(ClosedFormMemoryTest, MatchesPageByPageReference) {
+  const std::vector<std::shared_ptr<BaseImage>> images = {
+      BaseImage::CreateDistribution("img", 7, 256 * kDiskBlockSize), DuplicateBlockImage()};
+  ASSERT_EQ(images[1]->BlockContentId(7), images[1]->BlockContentId(0));
+  Prng prng(0xC105ED);
+  for (int trial = 0; trial < 40; ++trial) {
+    const BaseImage& image = *images[static_cast<size_t>(trial) % images.size()];
+    // RAM from well under one image up to several, so mappings cycle.
+    uint64_t pages = prng.NextInRange(1, 4 * image.block_count());
+    GuestMemory memory(pages * kPageSize);
+    BruteForceMemory reference(pages);
+    for (int step = 0; step < 12; ++step) {
+      uint64_t count = prng.NextInRange(0, 2 * image.block_count());
+      switch (prng.NextBelow(5)) {
+        case 0:
+        case 1:
+          memory.MapImagePages(image, count);
+          reference.MapImagePages(image, count);
+          break;
+        case 2:
+        case 3:
+          memory.DirtyPages(count);
+          reference.DirtyPages(count);
+          break;
+        default:
+          memory.Wipe();
+          reference.Wipe();
+          break;
+      }
+      ASSERT_EQ(memory.pages_by_content(), reference.Histogram())
+          << "trial " << trial << " step " << step;
+      ASSERT_EQ(memory.zero_pages() + memory.image_pages() + memory.unique_pages(),
+                memory.total_pages());
+    }
+  }
+}
+
+TEST(ClosedFormMemoryTest, MappingIsAdditive) {
+  for (const auto& image :
+       {BaseImage::CreateDistribution("img", 7, 256 * kDiskBlockSize), DuplicateBlockImage()}) {
+    uint64_t blocks = image->block_count();
+    for (auto [a, b] : {std::pair<uint64_t, uint64_t>{10, 20}, {blocks - 3, 7}, {blocks, blocks},
+                        {2 * blocks + 5, blocks / 2}}) {
+      GuestMemory split(8 * blocks * kPageSize);
+      GuestMemory whole(8 * blocks * kPageSize);
+      split.MapImagePages(*image, a);
+      split.MapImagePages(*image, b);
+      whole.MapImagePages(*image, a + b);
+      EXPECT_EQ(split.pages_by_content(), whole.pages_by_content()) << a << "+" << b;
+      // Dirtying then peels the same content-ordered prefix off both.
+      split.DirtyPages(split.zero_pages() + a / 2);
+      whole.DirtyPages(whole.zero_pages() + a / 2);
+      EXPECT_EQ(split.pages_by_content(), whole.pages_by_content()) << a << "+" << b;
+    }
+  }
+}
+
+TEST(ClosedFormMemoryTest, TamperBeforeMappingUsesTheNewContent) {
+  auto image = BaseImage::CreateDistribution("img", 7, 64 * kDiskBlockSize);
+  uint64_t original = image->BlockContentId(0);
+  ASSERT_EQ(image->content_order().blocks.size(), 64u);  // ordered before the tamper
+  image->TamperBlock(0, 999);
+  GuestMemory memory(128 * kPageSize);
+  memory.MapImagePages(*image, 1);
+  std::map<uint64_t, uint64_t> histogram = memory.pages_by_content();
+  EXPECT_EQ(histogram.count(original), 0u);
+  EXPECT_EQ(histogram[image->BlockContentId(0)], 1u);
+}
+
+TEST(ClosedFormMemoryDeathTest, TamperUnderMappedPagesAborts) {
+  auto image = BaseImage::CreateDistribution("img", 7, 64 * kDiskBlockSize);
+  GuestMemory memory(128 * kPageSize);
+  memory.MapImagePages(*image, 10);
+  image->TamperBlock(3, 999);
+  // The pages would change content without a generation bump, which the
+  // KSM skip relies on — so any read of them refuses.
+  EXPECT_DEATH(memory.pages_by_content(), "tampered");
+  EventLoop loop;
+  KsmDaemon ksm(loop, [&] { return std::vector<const GuestMemory*>{&memory}; });
+  EXPECT_DEATH(ksm.ScanNow(), "tampered");
 }
 
 TEST(GuestMemoryTest, IdsFollowCreationOrder) {
