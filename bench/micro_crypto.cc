@@ -1,12 +1,17 @@
 // Micro-benchmarks for the crypto substrate: the archive pipeline's
 // throughput justifies the NymManager's archive_processing_bps model
-// constant, and PBKDF2 cost shows the password-guessing barrier.
+// constant, PBKDF2 cost shows the password-guessing barrier, and the image
+// build / Merkle rebuild pair times the base-image hashing every shard pays
+// (the 33- and 65-byte BM_Sha256 points are its leaf and interior shapes).
+// The context block names the SHA-256 kernel in use.
 #include <benchmark/benchmark.h>
 
 #include "src/crypto/aead.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/merkle.h"
 #include "src/crypto/sha256.h"
+#include "src/crypto/sha256_kernels.h"
+#include "src/unionfs/disk_image.h"
 #include "src/util/prng.h"
 
 namespace nymix {
@@ -24,7 +29,7 @@ void BM_Sha256(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(1024)->Arg(64 * 1024)->Arg(1024 * 1024);
+BENCHMARK(BM_Sha256)->Arg(33)->Arg(65)->Arg(1024)->Arg(64 * 1024)->Arg(1024 * 1024);
 
 void BM_ChaCha20(benchmark::State& state) {
   Bytes data = TestData(static_cast<size_t>(state.range(0)));
@@ -87,7 +92,37 @@ void BM_MerkleVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_MerkleVerify);
 
+constexpr uint64_t kImageBytes = 64 * kMiB;
+
+// A cold 64 MiB distribution image: per-block digests plus the Merkle tree.
+void BM_ImageBuild(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BaseImage::CreateDistribution("nymix", 42, kImageBytes));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kImageBytes);
+}
+BENCHMARK(BM_ImageBuild)->Unit(benchmark::kMillisecond);
+
+// The pre-boot check's work: one bottom-up tree rebuild over the image's
+// block digests. Timed through MerkleTree::Build because VerifyAllBlocks
+// memoizes its verdict.
+void BM_ImageMerkleRebuild(benchmark::State& state) {
+  auto image = BaseImage::CreateDistribution("nymix", 42, kImageBytes);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MerkleTree::Build(image->block_digests()).root());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kImageBytes);
+}
+BENCHMARK(BM_ImageMerkleRebuild)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 }  // namespace nymix
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  benchmark::AddCustomContext("sha256_kernel",
+                              std::string(nymix::sha256_internal::ActiveKernelName()));
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -11,7 +11,7 @@ Sha256Digest HmacSha256(ByteSpan key, ByteSpan message) {
   if (key.size() > 64) {
     Sha256Digest digest = Sha256::Hash(key);
     std::memcpy(block_key, digest.data(), digest.size());
-  } else {
+  } else if (!key.empty()) {
     std::memcpy(block_key, key.data(), key.size());
   }
 

@@ -1,22 +1,24 @@
 #include "src/crypto/merkle.h"
 
+#include <cstring>
+
 namespace nymix {
 
+// Each node hashes one stack buffer (prefix byte, then the child digests)
+// in a single Update: 33 bytes for a leaf, 65 for an interior node.
 Sha256Digest MerkleTree::HashLeaf(const Sha256Digest& block_digest) {
-  Sha256 hasher;
-  uint8_t prefix = 0x00;
-  hasher.Update(ByteSpan(&prefix, 1));
-  hasher.Update(ByteSpan(block_digest.data(), block_digest.size()));
-  return hasher.Finish();
+  uint8_t node[1 + kSha256DigestSize];
+  node[0] = 0x00;
+  std::memcpy(node + 1, block_digest.data(), kSha256DigestSize);
+  return Sha256::Hash(ByteSpan(node, sizeof(node)));
 }
 
 Sha256Digest MerkleTree::HashInterior(const Sha256Digest& left, const Sha256Digest& right) {
-  Sha256 hasher;
-  uint8_t prefix = 0x01;
-  hasher.Update(ByteSpan(&prefix, 1));
-  hasher.Update(ByteSpan(left.data(), left.size()));
-  hasher.Update(ByteSpan(right.data(), right.size()));
-  return hasher.Finish();
+  uint8_t node[1 + 2 * kSha256DigestSize];
+  node[0] = 0x01;
+  std::memcpy(node + 1, left.data(), kSha256DigestSize);
+  std::memcpy(node + 1 + kSha256DigestSize, right.data(), kSha256DigestSize);
+  return Sha256::Hash(ByteSpan(node, sizeof(node)));
 }
 
 MerkleTree MerkleTree::Build(const std::vector<Sha256Digest>& block_digests) {
@@ -32,7 +34,7 @@ MerkleTree MerkleTree::Build(const std::vector<Sha256Digest>& block_digests) {
   for (const auto& digest : block_digests) {
     level.push_back(HashLeaf(digest));
   }
-  tree.levels_.push_back(level);
+  tree.levels_.push_back(std::move(level));
 
   while (tree.levels_.back().size() > 1) {
     const auto& below = tree.levels_.back();

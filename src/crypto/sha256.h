@@ -1,5 +1,11 @@
 // SHA-256 (FIPS 180-4). Used for key derivation, archive integrity, Merkle
-// base-image verification, and deterministic guard seeding.
+// base-image verification, trace digests and deterministic guard seeding.
+//
+// Update() hands every whole run of 64-byte blocks to one compression
+// kernel call. The kernel is picked once per process: SHA-NI on x86-64 CPUs
+// that have it, the portable scalar rounds everywhere else. Both give the
+// same digest bit for bit, so image content ids, Merkle roots and trace
+// digests do not depend on the machine (docs/performance.md).
 #ifndef SRC_CRYPTO_SHA256_H_
 #define SRC_CRYPTO_SHA256_H_
 
@@ -25,7 +31,7 @@ class Sha256 {
   static Sha256Digest Hash(std::string_view text);
 
  private:
-  void ProcessBlock(const uint8_t* block);
+  void ProcessBlocks(const uint8_t* data, size_t blocks);
 
   uint32_t state_[8];
   uint64_t total_bytes_ = 0;

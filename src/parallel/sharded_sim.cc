@@ -234,6 +234,12 @@ void ShardedSimulation::RunUntilIdle() {
 }
 
 void ShardedSimulation::DispatchDeliveries() {
+  for (Inbox& inbox : inboxes_) {
+    pump_events_->Increment(inbox.pumps);
+    deliveries_pumped_->Increment(inbox.pumped);
+    inbox.pumps = 0;
+    inbox.pumped = 0;
+  }
   pending_.clear();
   for (auto& channel : channels_) {
     channel->DrainInto(pending_);
@@ -295,7 +301,7 @@ void ShardedSimulation::PumpInbox(int dst) {
   while (inbox.head < inbox.queue.size() && inbox.queue[inbox.head].deliver_at <= now) {
     CrossShardChannel::PendingDelivery& delivery = inbox.queue[inbox.head];
     ++inbox.head;
-    deliveries_pumped_->Increment();
+    ++inbox.pumped;
     delivery.dst_link->DeliverFromRemote(delivery.packet);
     // Release the payload now; the record slot itself is reclaimed in bulk
     // at the next barrier compaction.
@@ -306,7 +312,7 @@ void ShardedSimulation::PumpInbox(int dst) {
     inbox.pump_at = inbox.queue[inbox.head].deliver_at;
     inbox.pump_event =
         loop.ScheduleAt(inbox.pump_at, [this, dst_shard] { PumpInbox(dst_shard); });
-    pump_events_->Increment();
+    ++inbox.pumps;
   } else {
     inbox.queue.clear();
     inbox.head = 0;

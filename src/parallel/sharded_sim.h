@@ -153,6 +153,12 @@ class ShardedSimulation {
     size_t head = 0;
     std::optional<uint64_t> pump_event;  // outstanding pump, if any
     SimTime pump_at = 0;
+    // Pump self-metrics since the last barrier. PumpInbox runs on the
+    // destination shard's worker thread, so it counts here, in state only
+    // that shard touches; the coordinator folds the counts into the shared
+    // executor counters at the barrier.
+    uint64_t pumps = 0;
+    uint64_t pumped = 0;
   };
 
   void DispatchDeliveries();

@@ -6,12 +6,16 @@ namespace nymix {
 
 namespace {
 
-// Stable per-block digest material: 16 bytes of (seed, index).
+// Stable per-block digest material: 16 bytes of (seed, index), each
+// little-endian as AppendU64 writes it. The byte order is part of every
+// image's identity (content ids, Merkle root), so it must not change.
 Sha256Digest BlockDigestFor(uint64_t seed, uint64_t block_index) {
-  Bytes material;
-  AppendU64(material, seed);
-  AppendU64(material, block_index);
-  return Sha256::Hash(material);
+  uint8_t material[16];
+  for (int i = 0; i < 8; ++i) {
+    material[i] = static_cast<uint8_t>(seed >> (8 * i));
+    material[8 + i] = static_cast<uint8_t>(block_index >> (8 * i));
+  }
+  return Sha256::Hash(ByteSpan(material, sizeof(material)));
 }
 
 void PopulateDistributionFs(MemFs& fs, const std::string& name, uint64_t seed) {

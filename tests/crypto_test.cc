@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/crypto/aead.h"
 #include "src/crypto/chacha20.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/merkle.h"
 #include "src/crypto/poly1305.h"
 #include "src/crypto/sha256.h"
+#include "src/crypto/sha256_kernels.h"
 #include "src/util/prng.h"
 
 namespace nymix {
@@ -66,6 +69,119 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
 TEST(Sha256Test, DigestPrefixIsBigEndianPrefix) {
   Sha256Digest digest = Sha256::Hash("abc");
   EXPECT_EQ(DigestPrefix64(digest), 0xba7816bf8f01cfeaULL);
+}
+
+// ---------------------------------------------------------------- SHA-256 kernels
+//
+// Each kernel is driven directly, with the padding done here, so the
+// portable rounds stay an independent oracle for the accelerated ones and
+// for Sha256's own buffering and padding.
+
+using sha256_internal::BlockKernel;
+
+Sha256Digest DigestWithKernel(BlockKernel kernel, ByteSpan message) {
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  size_t whole = message.size() / 64;
+  kernel(state, message.data(), whole);
+  uint8_t tail[128] = {};
+  size_t rest = message.size() % 64;
+  if (rest > 0) {
+    std::memcpy(tail, message.data() + whole * 64, rest);
+  }
+  tail[rest] = 0x80;
+  size_t tail_blocks = rest < 56 ? 1 : 2;
+  uint64_t bit_length = uint64_t{message.size()} * 8;
+  for (int i = 0; i < 8; ++i) {
+    tail[tail_blocks * 64 - 1 - i] = static_cast<uint8_t>(bit_length >> (8 * i));
+  }
+  kernel(state, tail, tail_blocks);
+  Sha256Digest digest;
+  for (int i = 0; i < 8; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      digest[4 * i + j] = static_cast<uint8_t>(state[i] >> (24 - 8 * j));
+    }
+  }
+  return digest;
+}
+
+// Null when this CPU has no accelerated kernel.
+BlockKernel AcceleratedKernel() {
+#if defined(__x86_64__)
+  if (sha256_internal::ShaNiSupported()) {
+    return &sha256_internal::ProcessBlocksShaNi;
+  }
+#endif
+  return nullptr;
+}
+
+void ExpectNistVectors(BlockKernel kernel) {
+  auto hex = [kernel](std::string_view text) {
+    return DigestHex(DigestWithKernel(
+        kernel, ByteSpan(reinterpret_cast<const uint8_t*>(text.data()), text.size())));
+  };
+  EXPECT_EQ(hex(""), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(hex("abc"), "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(hex(std::string(1000000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// Hashes 10k random messages of 0-600 bytes with `digest` and with the
+// portable kernel driven directly; fails on the first disagreement.
+template <typename DigestFn>
+void ExpectRandomMessagesMatchPortable(DigestFn digest) {
+  Prng prng(14);
+  for (int trial = 0; trial < 10000; ++trial) {
+    Bytes message = prng.NextBytes(prng.NextBelow(601));
+    ASSERT_EQ(digest(prng, message),
+              DigestWithKernel(&sha256_internal::ProcessBlocksPortable, message))
+        << "trial " << trial << ", " << message.size() << " bytes";
+  }
+}
+
+TEST(Sha256KernelTest, PortableMatchesNistVectors) {
+  ExpectNistVectors(&sha256_internal::ProcessBlocksPortable);
+}
+
+TEST(Sha256KernelTest, AcceleratedMatchesNistVectors) {
+  BlockKernel accelerated = AcceleratedKernel();
+  if (accelerated == nullptr) {
+    GTEST_SKIP() << "no SHA-NI on this CPU";
+  }
+  ExpectNistVectors(accelerated);
+}
+
+// Sha256::Update at random split points, on whichever kernel is active.
+TEST(Sha256KernelTest, UpdateAtRandomSplitsMatchesPortable) {
+  ExpectRandomMessagesMatchPortable([](Prng& prng, const Bytes& message) {
+    Sha256 hasher;
+    size_t offset = 0;
+    while (offset < message.size()) {
+      size_t take = prng.NextInRange(1, message.size() - offset);
+      hasher.Update(ByteSpan(message.data() + offset, take));
+      offset += take;
+    }
+    return hasher.Finish();
+  });
+}
+
+TEST(Sha256KernelTest, AcceleratedMatchesPortableOnRandomMessages) {
+  BlockKernel accelerated = AcceleratedKernel();
+  if (accelerated == nullptr) {
+    GTEST_SKIP() << "no SHA-NI on this CPU";
+  }
+  ExpectRandomMessagesMatchPortable([accelerated](Prng&, const Bytes& message) {
+    return DigestWithKernel(accelerated, message);
+  });
+}
+
+TEST(Sha256KernelTest, ActiveKernelIsAcceleratedWhenAvailable) {
+  BlockKernel accelerated = AcceleratedKernel();
+  EXPECT_EQ(sha256_internal::ActiveKernel(),
+            accelerated != nullptr ? accelerated : &sha256_internal::ProcessBlocksPortable);
+  EXPECT_EQ(sha256_internal::ActiveKernelName(), accelerated != nullptr ? "sha-ni" : "portable");
 }
 
 // ---------------------------------------------------------------- HMAC / KDFs

@@ -254,6 +254,20 @@ TEST(BaseImageTest, BlockContentIdsStableAcrossInstances) {
   EXPECT_NE(a->BlockContentId(0), c->BlockContentId(0));
 }
 
+// Pins image identity: content ids feed KSM sharing and the Merkle root is
+// what every shard verifies against, so any change to block-digest material
+// (byte order, width) or to the SHA-256 kernel moves these values.
+TEST(BaseImageTest, DistributionIdentityGolden) {
+  auto image = BaseImage::CreateDistribution("nymix", 42, 64 * kMiB);
+  ASSERT_EQ(image->block_count(), 16384u);
+  const Sha256Digest& root = image->merkle_root();
+  EXPECT_EQ(HexEncode(ByteSpan(root.data(), root.size())),
+            "0c320f2038bf43f9039d28abf6cfbd861832bffd702391d88a7377f9ccac1ec2");
+  EXPECT_EQ(image->BlockContentId(0), 0xaefdce03def94ffeULL);
+  EXPECT_EQ(image->BlockContentId(1), 0xc953b283023f000dULL);
+  EXPECT_EQ(image->BlockContentId(16383), 0x68f580eaa9a0a62cULL);
+}
+
 TEST(BaseImageTest, MerkleVerificationCatchesTampering) {
   auto image = BaseImage::CreateDistribution("nymix", 7, 1 * kMiB);
   for (uint64_t i = 0; i < image->block_count(); ++i) {
