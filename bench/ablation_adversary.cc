@@ -16,7 +16,7 @@
 //                       adversary.* report must hash identically (exit 1
 //                       otherwise — thread count must not move a byte).
 //
-// Usage:
+// Usage (--help prints it; an unknown flag or bad value exits 2):
 //   ablation_adversary [--n=8,16] [--generations=2,3] [--threads=1,2,4]
 //                      [--shards=4] [--seed=7] [--out=BENCH_adversary.json]
 //                      [--stats-out=...] [--trace-out=...]
@@ -157,20 +157,6 @@ void EmitRow(JsonWriter& w, const RowResult& row) {
   w.EndObject();
 }
 
-std::vector<int> ParseIntList(const std::string& list) {
-  std::vector<int> out;
-  size_t pos = 0;
-  while (pos < list.size()) {
-    size_t comma = list.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = list.size();
-    }
-    out.push_back(std::stoi(list.substr(pos, comma - pos)));
-    pos = comma + 1;
-  }
-  return out;
-}
-
 std::string StatsKey(const RowResult& row) {
   return "n" + std::to_string(row.n) + ".g" + std::to_string(row.generations) + "." +
          row.workload + "." + row.plant;
@@ -179,29 +165,20 @@ std::string StatsKey(const RowResult& row) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchStats stats("ablation_adversary", argc, argv);
   std::vector<int> ns = {8, 16};
   std::vector<int> generations_list = {2, 3};
   std::vector<int> threads_list = {1, 2, 4};
   int shards = 4;
   uint64_t seed = 7;
   std::string out_path = "BENCH_adversary.json";
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--n=", 0) == 0) {
-      ns = ParseIntList(arg.substr(4));
-    } else if (arg.rfind("--generations=", 0) == 0) {
-      generations_list = ParseIntList(arg.substr(14));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads_list = ParseIntList(arg.substr(10));
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::stoi(arg.substr(9));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::stoull(arg.substr(7));
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    }
-  }
+  BenchStats stats(
+      "ablation_adversary", argc, argv,
+      {{"--n", "--n=N[,N...]", SetPositiveList(ns)},
+       {"--generations", "--generations=G[,G...]", SetPositiveList(generations_list)},
+       {"--threads", "--threads=T[,T...]", SetPositiveList(threads_list)},
+       {"--shards", "--shards=K", SetPositive(shards)},
+       {"--seed", "--seed=SEED", SetUint64(seed)},
+       {"--out", "--out=PATH", SetText(out_path)}});
 
   const WorkloadMix kMixes[] = {WorkloadMix::kBrowse, WorkloadMix::kStreaming,
                                 WorkloadMix::kUpload, WorkloadMix::kMixed};

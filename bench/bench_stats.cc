@@ -1,8 +1,9 @@
 #include "bench/bench_stats.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 
 #include "src/net/simulation.h"
@@ -14,16 +15,107 @@ namespace nymix {
 
 namespace {
 
-// Matches "--flag=value"; returns the value or nullptr.
-const char* FlagValue(const char* arg, const char* flag) {
-  size_t flag_len = std::strlen(flag);
-  if (std::strncmp(arg, flag, flag_len) == 0 && arg[flag_len] == '=') {
-    return arg + flag_len + 1;
+// "usage: <program> [row]", one row per line, aligned under the first.
+std::string UsageText(std::string_view program, const std::vector<Flag>& flags) {
+  std::string out = "usage: " + std::string(program);
+  const std::string separator = "\n" + std::string(out.size(), ' ');
+  for (size_t i = 0; i < flags.size(); ++i) {
+    out += (i == 0 ? " [" : separator + " [") + flags[i].usage + "]";
   }
-  return nullptr;
+  return out + "\n";
+}
+
+// Whole-string decimal parse: no leading "+" or space, no trailing text.
+template <typename T>
+bool ParseWhole(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
+
+int ParseFlags(std::string_view program, const std::vector<Flag>& flags, int argc, char** argv) {
+  const std::string bin(program);
+  for (int i = 1; i < argc; ++i) {
+    std::string_view arg = argv[i];
+    if (arg == "--help") {
+      std::fputs(UsageText(program, flags).c_str(), stdout);
+      return 0;
+    }
+    size_t eq = arg.find('=');
+    std::string_view name = arg.substr(0, eq);
+    auto flag = std::find_if(flags.begin(), flags.end(),
+                             [name](const Flag& row) { return row.name == name; });
+    if (flag == flags.end()) {
+      std::fprintf(stderr, "%s: unknown argument \"%s\"\n", bin.c_str(), argv[i]);
+      std::fputs(UsageText(program, flags).c_str(), stderr);
+      return 2;
+    }
+    bool takes_value = flag->kind == Flag::kValue || flag->kind == Flag::kChoice;
+    bool has_value = eq != std::string_view::npos;
+    std::string_view value = has_value ? arg.substr(eq + 1) : std::string_view();
+    std::string shown(arg);
+    if (takes_value && !has_value && i + 1 < argc) {
+      value = argv[++i];
+      has_value = true;
+      shown += " " + std::string(value);
+    }
+    bool ok = has_value ? flag->kind != Flag::kSwitch && !value.empty() : !takes_value;
+    if (ok && flag->set(value)) {
+      continue;
+    }
+    if (flag->kind == Flag::kChoice && has_value) {
+      std::fprintf(stderr, "%s: unknown %s \"%s\"\n", bin.c_str(), flag->name.c_str(),
+                   std::string(value).c_str());
+    } else {
+      std::fprintf(stderr, "%s: bad value \"%s\"\n", bin.c_str(), shown.c_str());
+    }
+    std::fprintf(stderr, "usage: %s [%s]\n", bin.c_str(), flag->usage.c_str());
+    return 2;
+  }
+  return -1;
+}
+
+FlagSetter SetText(std::string& out) {
+  return [&out](std::string_view value) {
+    out = std::string(value);
+    return true;
+  };
+}
+
+FlagSetter SetUint64(uint64_t& out) {
+  return [&out](std::string_view value) { return ParseWhole(value, out); };
+}
+
+FlagSetter SetPositive(int& out) {
+  return [&out](std::string_view value) { return ParseWhole(value, out) && out >= 1; };
+}
+
+FlagSetter SetPositiveList(std::vector<int>& out) {
+  return [&out](std::string_view value) {
+    out.clear();
+    while (true) {
+      size_t comma = value.find(',');
+      int item = 0;
+      if (!ParseWhole(value.substr(0, comma), item) || item < 1) {
+        return false;
+      }
+      out.push_back(item);
+      if (comma == std::string_view::npos) {
+        return true;
+      }
+      value.remove_prefix(comma + 1);
+    }
+  };
+}
+
+FlagSetter SetOneOf(std::string& out, std::vector<std::string_view> choices) {
+  return [&out, choices = std::move(choices)](std::string_view value) {
+    out = std::string(value);
+    return std::find(choices.begin(), choices.end(), value) != choices.end();
+  };
+}
 
 void JsonWriter::BeforeValue() {
   if (pending_key_) {
@@ -122,21 +214,14 @@ std::ostream& JsonWriter::RawValue() {
   return out_;
 }
 
-BenchStats::BenchStats(std::string bench_name, int argc, char** argv)
+BenchStats::BenchStats(std::string bench_name, int argc, char** argv, std::vector<Flag> flags)
     : bench_name_(std::move(bench_name)) {
-  for (int i = 1; i < argc; ++i) {
-    if (const char* value = FlagValue(argv[i], "--stats-out")) {
-      stats_path_ = value;
-    } else if (const char* value = FlagValue(argv[i], "--trace-out")) {
-      trace_path_ = value;
-    } else if (const char* value = FlagValue(argv[i], "--trace-format")) {
-      trace_format_ = value;
-    }
-  }
-  if (trace_format_ != "json" && trace_format_ != "nbt") {
-    std::fprintf(stderr, "bench_stats: --trace-format must be json or nbt, got \"%s\"\n",
-                 trace_format_.c_str());
-    std::exit(2);
+  flags.push_back({"--stats-out", "--stats-out=PATH", SetText(stats_path_)});
+  flags.push_back({"--trace-out", "--trace-out=PATH", SetText(trace_path_)});
+  flags.push_back({"--trace-format", "--trace-format=json|nbt",
+                   SetOneOf(trace_format_, {"json", "nbt"}), Flag::kChoice});
+  if (int rc = ParseFlags(bench_name_, flags, argc, argv); rc >= 0) {
+    std::exit(rc);
   }
   if (!stats_path_.empty()) {
     obs_.metrics.set_enabled(true);

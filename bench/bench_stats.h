@@ -1,5 +1,19 @@
-// Common bench plumbing for machine-readable output. Every figure/table
-// bench accepts:
+// Common bench plumbing: a strict command-line flag table and the
+// machine-readable output every figure/table bench can write.
+//
+// Flag table contract (ParseFlags; every BenchStats bench parses through it):
+//   * a row is a name, a usage fragment, a setter and a kind; the usage
+//     text is generated from the rows, in order;
+//   * --help prints the usage to stdout and exits 0 before anything runs;
+//   * an unknown argument prints `<bin>: unknown argument "<arg>"` and the
+//     full usage to stderr, and exits 2;
+//   * a bad value (the setter returns false, the value is empty or missing,
+//     or a switch is given one) prints `<bin>: bad value "<arg>"` (choice
+//     flags: `<bin>: unknown --flag "<v>"`) and that row's usage, exits 2;
+//   * a value flag takes --flag=V or --flag V, an optional-value flag only
+//     --flag=V; a repeated flag calls its setter again.
+//
+// BenchStats appends three rows to every bench's own:
 //   --stats-out=<path>   one JSON document per run: headline values set by
 //                        the bench plus the full metrics-registry dump
 //   --trace-out=<path>   Chrome trace_event JSON covering every attached
@@ -15,6 +29,7 @@
 #define BENCH_BENCH_STATS_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
@@ -88,11 +103,43 @@ class JsonWriter {
   bool pending_key_ = false;
 };
 
+// Stores a flag's value (non-empty except for a switch or a bare optional
+// flag); returns false when it is malformed or out of range.
+using FlagSetter = std::function<bool(std::string_view)>;
+
+// One row of a flag table (see the contract at the top of this file).
+struct Flag {
+  enum Kind {
+    kValue,     // --name=V or --name V
+    kChoice,    // as kValue; a rejected V reads `unknown --name "V"`
+    kSwitch,    // --name alone; the setter gets ""
+    kOptional,  // --name (the setter gets "") or --name=V
+  };
+  std::string name;   // "--n"
+  std::string usage;  // "--n=N[,N...]"
+  FlagSetter set;
+  Kind kind = kValue;
+};
+
+// Parses argv[1..] against `flags`. Returns -1 when the program should
+// run, else the exit code (0 after --help, 2 on bad input) once the
+// diagnostic is printed.
+int ParseFlags(std::string_view program, const std::vector<Flag>& flags, int argc, char** argv);
+
+// Setters for the common value shapes. Integers are whole-string decimal:
+// no sign, space or trailing text. A list is comma-separated, at least one.
+FlagSetter SetText(std::string& out);
+FlagSetter SetUint64(uint64_t& out);
+FlagSetter SetPositive(int& out);
+FlagSetter SetPositiveList(std::vector<int>& out);
+FlagSetter SetOneOf(std::string& out, std::vector<std::string_view> choices);
+
 class BenchStats {
  public:
-  // Parses --stats-out= / --trace-out= out of argv; other arguments are
-  // left for the bench itself.
-  BenchStats(std::string bench_name, int argc, char** argv);
+  // Parses argv through `flags` plus the --stats-out/--trace-out/
+  // --trace-format rows; exits the process after --help (0) or on bad
+  // input (2), before the bench runs.
+  BenchStats(std::string bench_name, int argc, char** argv, std::vector<Flag> flags = {});
 
   // Hooks a simulation's event loop into the shared Observability. Call
   // once per simulation; each attached run is laid out after the previous

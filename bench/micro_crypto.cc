@@ -120,6 +120,9 @@ BENCHMARK(BM_ImageMerkleRebuild)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    return 1;
+  }
   benchmark::AddCustomContext("sha256_kernel",
                               std::string(nymix::sha256_internal::ActiveKernelName()));
   benchmark::RunSpecifiedBenchmarks();

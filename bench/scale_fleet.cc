@@ -56,7 +56,6 @@
 // "cloud_fetches" and the parallel.* executor columns (barrier_wait_ms,
 // shard_skew_events, outbox_depth).
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -437,17 +436,6 @@ void WriteJson(const std::string& path, const std::string& mode, const std::stri
   NYMIX_CHECK_MSG(w.balanced(), "scale_fleet: unbalanced JSON emitter");
 }
 
-// --- Command line -----------------------------------------------------------
-// Strict: --help prints the usage and exits 0; an unknown flag, or a
-// malformed or out-of-range value, exits 2 with a usage line, so a typo'd
-// sweep script never runs a default multi-minute sweep.
-
-constexpr char kUsage[] =
-    "usage: scale_fleet [--n=N[,N...]] [--mode=both|incremental|full] [--full-recompute]\n"
-    "                   [--out=PATH] [--seed=SEED] [--threads=T[,T...]] [--shards=K]\n"
-    "                   [--topology=isolated|crossed] [--warm-start[=CKPT]]\n"
-    "                   [--stats-out=PATH] [--trace-out=PATH] [--trace-format=json|nbt]\n";
-
 struct Args {
   std::vector<int> ns = {8, 64, 256, 1024};
   std::vector<int> threads_list;
@@ -459,114 +447,38 @@ struct Args {
   WarmStart warm;
 };
 
-// Prints `problem` and the offending flag's usage line; returns exit code 2.
-int UsageError(const std::string& problem, const char* flag_usage) {
-  std::fprintf(stderr, "scale_fleet: %s\n", problem.c_str());
-  std::fprintf(stderr, "usage: scale_fleet [%s]\n", flag_usage);
-  return 2;
-}
-
-// Whole-string decimal parse: no leading "+" or space, no trailing text.
-template <typename T>
-bool ParseWhole(std::string_view text, T& out) {
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc() && ptr == end;
-}
-
-bool ParsePositive(std::string_view text, int& out) { return ParseWhole(text, out) && out >= 1; }
-
-// Comma-separated list of positive integers, at least one.
-bool ParsePositiveList(std::string_view text, std::vector<int>& out) {
-  out.clear();
-  while (true) {
-    size_t comma = text.find(',');
-    int value = 0;
-    if (!ParsePositive(text.substr(0, comma), value)) {
-      return false;
-    }
-    out.push_back(value);
-    if (comma == std::string_view::npos) {
-      return true;
-    }
-    text.remove_prefix(comma + 1);
-  }
-}
-
-// Returns -1 to run, else the exit code.
-int ParseArgs(int argc, char** argv, Args& args) {
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    size_t eq = arg.find('=');
-    std::string_view name = arg.substr(0, eq);
-    std::string_view value = eq == std::string_view::npos ? "" : arg.substr(eq + 1);
-    bool has_value = eq != std::string_view::npos;
-    std::string bad = "bad value \"" + std::string(arg) + "\"";
-    if (name == "--help" && !has_value) {
-      std::fputs(kUsage, stdout);
-      return 0;
-    } else if (name == "--n") {
-      if (!ParsePositiveList(value, args.ns)) {
-        return UsageError(bad, "--n=N[,N...]");
-      }
-    } else if (name == "--threads") {
-      if (!ParsePositiveList(value, args.threads_list)) {
-        return UsageError(bad, "--threads=T[,T...]");
-      }
-    } else if (name == "--shards") {
-      if (!ParsePositive(value, args.shards)) {
-        return UsageError(bad, "--shards=K");
-      }
-    } else if (name == "--seed") {
-      if (!ParseWhole(value, args.seed)) {
-        return UsageError(bad, "--seed=SEED");
-      }
-    } else if (name == "--mode") {
-      args.mode = std::string(value);
-      if (args.mode != "both" && args.mode != "incremental" && args.mode != "full") {
-        return UsageError("unknown --mode \"" + args.mode + "\"", "--mode=both|incremental|full");
-      }
-    } else if (name == "--topology") {
-      args.topology = std::string(value);
-      if (args.topology != "isolated" && args.topology != "crossed") {
-        return UsageError("unknown --topology \"" + args.topology + "\"",
-                          "--topology=isolated|crossed");
-      }
-    } else if (name == "--full-recompute" && !has_value) {
-      args.mode = "full";
-    } else if (name == "--out") {
-      if (value.empty()) {
-        return UsageError(bad, "--out=PATH");
-      }
-      args.out_path = std::string(value);
-    } else if (name == "--warm-start") {
-      args.warm.enabled = true;
-      if (has_value) {
-        if (value.empty()) {
-          return UsageError(bad, "--warm-start[=CKPT]");
-        }
-        args.warm.path = std::string(value);
-      }
-    } else if ((name == "--stats-out" || name == "--trace-out" || name == "--trace-format") &&
-               has_value) {
-      // Parsed (and --trace-format validated) by BenchStats.
-    } else {
-      std::fprintf(stderr, "scale_fleet: unknown argument \"%s\"\n", argv[i]);
-      std::fputs(kUsage, stderr);
-      return 2;
-    }
-  }
-  return -1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Strict flags: a typo'd sweep script never runs a default multi-minute
+  // sweep.
   Args args;
-  if (int rc = ParseArgs(argc, argv, args); rc >= 0) {
-    return rc;
-  }
-  BenchStats stats("scale_fleet", argc, argv);
+  BenchStats stats(
+      "scale_fleet", argc, argv,
+      {{"--n", "--n=N[,N...]", SetPositiveList(args.ns)},
+       {"--mode", "--mode=both|incremental|full",
+        SetOneOf(args.mode, {"both", "incremental", "full"}), Flag::kChoice},
+       {"--full-recompute", "--full-recompute",
+        [&args](std::string_view) {
+          args.mode = "full";
+          return true;
+        },
+        Flag::kSwitch},
+       {"--out", "--out=PATH", SetText(args.out_path)},
+       {"--seed", "--seed=SEED", SetUint64(args.seed)},
+       {"--threads", "--threads=T[,T...]", SetPositiveList(args.threads_list)},
+       {"--shards", "--shards=K", SetPositive(args.shards)},
+       {"--topology", "--topology=isolated|crossed",
+        SetOneOf(args.topology, {"isolated", "crossed"}), Flag::kChoice},
+       {"--warm-start", "--warm-start[=CKPT]",
+        [&args](std::string_view value) {
+          args.warm.enabled = true;
+          if (!value.empty()) {
+            args.warm.path = std::string(value);
+          }
+          return true;
+        },
+        Flag::kOptional}});
   WarmStart& warm = args.warm;
   if (warm.enabled) {
     // Tolerant load: a missing file means a first (all-cold) run, and a

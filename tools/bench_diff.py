@@ -42,11 +42,14 @@ Usage:
   tools/bench_diff.py RESULT.json [--baseline=bench/baselines/scale_fleet.json]
                                   [--min-ratio=0.7] [--update-baseline]
 
-Exit codes: 0 ok / baseline seeded or updated, 1 regression, 2 usage error.
+--help prints this text. Exit codes: 0 ok / baseline seeded or updated,
+1 regression, 2 usage error (an unknown flag, a malformed or non-positive
+--min-ratio, or no RESULT.json).
 Only the Python standard library is used.
 """
 
 import json
+import math
 import os
 import sys
 
@@ -188,7 +191,18 @@ def main(argv):
         if arg.startswith("--baseline="):
             baseline_path = arg.split("=", 1)[1]
         elif arg.startswith("--min-ratio="):
-            min_ratio = float(arg.split("=", 1)[1])
+            # Exit 2, not 1: a typo'd floor must not read as a regression.
+            try:
+                min_ratio = float(arg.split("=", 1)[1])
+            except ValueError:
+                min_ratio = float("nan")
+            if not (math.isfinite(min_ratio) and min_ratio > 0):
+                print(f"bench_diff: bad value {arg}: --min-ratio must be a positive number",
+                      file=sys.stderr)
+                return 2
+        elif arg == "--help":
+            print(__doc__)
+            return 0
         elif arg == "--update-baseline":
             update = True
         elif arg.startswith("--"):

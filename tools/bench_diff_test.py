@@ -7,8 +7,8 @@ printed report. Covers the 30% throughput-regression gate, the parallel
 trace-identity gate, the hardware_threads>=2 arming of the speedup floor,
 the crossed-topology hard x2.0 floor (armed at hardware_threads>=4), the
 crossed epochs/cross_deliveries shape floors, the hard failure on
-unparseable bench JSON, the warn-only store columns, and baseline
-seeding/ratcheting.
+unparseable bench JSON, the warn-only store columns, baseline
+seeding/ratcheting, and the usage errors (exit 2) and --help.
 
 Run directly (python3 tools/bench_diff_test.py) or via ctest
 (`ctest -R bench_diff`). Only the standard library is used.
@@ -304,6 +304,24 @@ class BenchDiffCase(unittest.TestCase):
                                      extra_args=["--frobnicate"])
         self.assertEqual(code, 2)
         self.assertIn("unknown flag", err)
+
+    def test_bad_min_ratio_is_usage_error(self):
+        # Exit 1 is the regression verdict; a typo'd floor must not read as one.
+        for value in ["abc", "", "0", "-0.5", "nan", "inf"]:
+            with self.subTest(value=value):
+                code, _, err = self.run_diff(incremental({100: 1000.0}),
+                                             baseline({100: 1000.0}),
+                                             extra_args=["--min-ratio=" + value])
+                self.assertEqual(code, 2)
+                self.assertIn("--min-ratio must be a positive number", err)
+
+    def test_help_prints_docstring_and_exits_0(self):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = bench_diff.main(["bench_diff.py", "--help"])
+        self.assertEqual(code, 0)
+        self.assertIn("Usage:", out.getvalue())
+        self.assertEqual(err.getvalue(), "")
 
     def test_missing_incremental_series_is_usage_error(self):
         code, _, err = self.run_diff({"bench": "scale_fleet"}, baseline({100: 1000.0}))

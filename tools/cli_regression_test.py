@@ -9,9 +9,16 @@ Covers the contracts a shell user (or CI script) relies on:
     usage line before any sweep starts.
   * nymfuzz --minimize re-shrinks a checked-in corpus entry: the rewritten
     file replays clean and carries a digest pin.
+  * every bench parsed by the flag table in bench/bench_stats, and
+    nymfuzz, follow its contract: --help prints "usage: <bin>" and exits 0,
+    an unknown flag or a malformed value exits 2, and neither runs the
+    bench or writes a file.
+  * micro_crypto rejects an unknown flag; nbt2json prints its usage on
+    --help and exits 2 on any other "-" argument but --recover.
 
 Binary paths come from argv (ctest passes $<TARGET_FILE:...>):
   cli_regression_test.py SCALE_FLEET_BIN NYMFUZZ_BIN CORPUS_DIR
+                         NBT2JSON_BIN MICRO_CRYPTO_BIN TABLE_BENCH_BIN...
 
 Only the standard library is used.
 """
@@ -26,6 +33,18 @@ import unittest
 SCALE_FLEET = None
 NYMFUZZ = None
 CORPUS_DIR = None
+NBT2JSON = None
+MICRO_CRYPTO = None
+TABLE_BENCHES = []
+
+
+def run_in_empty_dir(test, binary, *args):
+    """Runs `binary` in a scratch cwd and asserts it wrote nothing there."""
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run([binary, *args], capture_output=True, text=True,
+                              cwd=tmp, timeout=60)
+        test.assertEqual(os.listdir(tmp), [], "usage path wrote files")
+    return proc
 
 
 class ScaleFleetCliTest(unittest.TestCase):
@@ -111,13 +130,93 @@ class NymfuzzMinimizeTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 2)
 
 
+class FlagTableCliTest(unittest.TestCase):
+    def test_every_table_bench_follows_the_contract(self):
+        self.assertTrue(TABLE_BENCHES, "no table-parsed benches passed on the command line")
+        for binary in TABLE_BENCHES:
+            name = os.path.basename(binary)
+            with self.subTest(bench=name):
+                proc = run_in_empty_dir(self, binary, "--help")
+                self.assertEqual(proc.returncode, 0, proc.stderr)
+                self.assertTrue(proc.stdout.startswith("usage: %s " % name), proc.stdout)
+                self.assertIn("[--stats-out=PATH]", proc.stdout)
+                proc = run_in_empty_dir(self, binary, "--bogus")
+                self.assertEqual(proc.returncode, 2, proc.stderr)
+                self.assertIn('%s: unknown argument "--bogus"' % name, proc.stderr)
+                self.assertIn("usage: %s " % name, proc.stderr)
+                proc = run_in_empty_dir(self, binary, "--stats-out=")
+                self.assertEqual(proc.returncode, 2, proc.stderr)
+                self.assertIn('bad value "--stats-out="', proc.stderr)
+                self.assertIn("usage: %s [--stats-out=PATH]" % name, proc.stderr)
+
+    def test_ablation_adversary_rejects_bad_values(self):
+        adversary = [b for b in TABLE_BENCHES if os.path.basename(b) == "ablation_adversary"]
+        self.assertEqual(len(adversary), 1)
+        for arg in ["--threads=", "--n=abc", "--seed=x", "--shards=0"]:
+            with self.subTest(arg=arg):
+                proc = run_in_empty_dir(self, adversary[0], arg)
+                self.assertEqual(proc.returncode, 2, proc.stderr)
+                self.assertIn('bad value "%s"' % arg, proc.stderr)
+
+
+class NymfuzzCliTest(unittest.TestCase):
+    def test_help_prints_usage_and_exits_0(self):
+        proc = run_in_empty_dir(self, NYMFUZZ, "--help")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertTrue(proc.stdout.startswith("usage: nymfuzz "))
+        self.assertIn("[--replay FILE]", proc.stdout)
+
+    def test_malformed_values_exit_2(self):
+        # Each of these once ran the default sweep with the value read as 0
+        # or a prefix of it.
+        for arg in ["--seed=x", "--runs=1x", "--gen-seed=abc"]:
+            with self.subTest(arg=arg):
+                proc = run_in_empty_dir(self, NYMFUZZ, arg)
+                self.assertEqual(proc.returncode, 2, proc.stderr)
+                self.assertIn('nymfuzz: bad value "%s"' % arg, proc.stderr)
+
+    def test_replay_takes_file_after_space_or_equals(self):
+        entry = os.path.join(CORPUS_DIR, "decoder-tail-damage-101.nymfuzz")
+        for args in (["--replay", entry], ["--replay=" + entry]):
+            with self.subTest(args=args):
+                proc = run_in_empty_dir(self, NYMFUZZ, *args)
+                self.assertEqual(proc.returncode, 0, proc.stderr)
+                self.assertIn("decoder-tail-damage-101.nymfuzz: verified", proc.stdout)
+
+
+class MicroCryptoCliTest(unittest.TestCase):
+    def test_unknown_flag_fails(self):
+        proc = run_in_empty_dir(self, MICRO_CRYPTO, "--bogus")
+        self.assertNotEqual(proc.returncode, 0)
+
+
+class Nbt2JsonCliTest(unittest.TestCase):
+    def test_help_prints_usage_and_exits_0(self):
+        proc = run_in_empty_dir(self, NBT2JSON, "--help")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertTrue(proc.stdout.startswith("usage: nbt2json "))
+
+    def test_unknown_flag_exits_2_with_usage(self):
+        proc = run_in_empty_dir(self, NBT2JSON, "--bogus", "in.nbt")
+        self.assertEqual(proc.returncode, 2)
+        self.assertIn('unknown argument "--bogus"', proc.stderr)
+        self.assertIn("usage: nbt2json ", proc.stderr)
+
+    def test_recover_is_still_a_flag(self):
+        # A missing input is an I/O failure (1), not a usage error (2).
+        proc = run_in_empty_dir(self, NBT2JSON, "--recover", "missing.nbt")
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("missing.nbt", proc.stderr)
+
+
 def main():
-    global SCALE_FLEET, NYMFUZZ, CORPUS_DIR
-    if len(sys.argv) != 4:
-        print("usage: cli_regression_test.py SCALE_FLEET_BIN NYMFUZZ_BIN CORPUS_DIR",
-              file=sys.stderr)
+    global SCALE_FLEET, NYMFUZZ, CORPUS_DIR, NBT2JSON, MICRO_CRYPTO, TABLE_BENCHES
+    if len(sys.argv) < 6:
+        print("usage: cli_regression_test.py SCALE_FLEET_BIN NYMFUZZ_BIN CORPUS_DIR "
+              "NBT2JSON_BIN MICRO_CRYPTO_BIN TABLE_BENCH_BIN...", file=sys.stderr)
         return 2
-    SCALE_FLEET, NYMFUZZ, CORPUS_DIR = sys.argv[1:4]
+    SCALE_FLEET, NYMFUZZ, CORPUS_DIR, NBT2JSON, MICRO_CRYPTO = sys.argv[1:6]
+    TABLE_BENCHES = sys.argv[6:]
     sys.argv = sys.argv[:1]
     unittest.main()
 

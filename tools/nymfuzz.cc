@@ -28,15 +28,16 @@
 // policy; the nat-isolation oracle MUST catch it — the self-test that the
 // suite is alive), --no-shrink, --disable-oracle=NAME.
 //
+// --help prints the usage; an unknown flag or a bad value exits 2.
 // Exit codes: 0 = clean, 1 = an oracle failed (or a replay diverged),
 // 2 = usage/IO error.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "bench/bench_stats.h"
 #include "src/fuzz/entropy.h"
 #include "src/fuzz/generator.h"
 #include "src/fuzz/oracle.h"
@@ -48,19 +49,6 @@
 #include "src/util/prng.h"
 
 namespace {
-
-int Usage() {
-  std::fprintf(stderr,
-               "usage: nymfuzz [--runs=N] [--seed=N|random] [--family=F] [--max-steps=N]\n"
-               "               [--out-dir=DIR] [--plant=nat-leak] [--no-shrink]\n"
-               "               [--disable-oracle=NAME]\n"
-               "       nymfuzz --gen-seed=S [--record=FILE.nymfuzz]\n"
-               "       nymfuzz --replay FILE.nymfuzz\n"
-               "       nymfuzz --corpus DIR\n"
-               "       nymfuzz --minimize FILE.nymfuzz [--out=FILE]\n"
-               "       nymfuzz --list-oracles\n");
-  return 2;
-}
 
 // Replays one .nymfuzz file and verifies its expectation block.
 // Returns 0 = verified, 1 = diverged, 2 = unreadable.
@@ -161,83 +149,64 @@ int main(int argc, char** argv) {
   std::string record_path;
   std::string minimize_path;
   std::string minimize_out;
+  std::string plant;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto value = [&arg](const char* prefix) -> const char* {
-      size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
+  auto set_switch = [](bool& flag, bool value) -> nymix::FlagSetter {
+    return [&flag, value](std::string_view) {
+      flag = value;
+      return true;
     };
-    if (const char* v = value("--runs=")) {
-      runs = std::atoi(v);
-      if (runs <= 0) return Usage();
-    } else if (const char* v = value("--seed=")) {
-      if (std::strcmp(v, "random") == 0) {
-        seed_random = true;
-      } else {
-        seed = static_cast<uint64_t>(std::strtoull(v, nullptr, 10));
-      }
-    } else if (const char* v = value("--gen-seed=")) {
+  };
+  using nymix::Flag;
+  const std::vector<Flag> flags = {
+      {"--runs", "--runs=N", nymix::SetPositive(runs)},
+      {"--seed", "--seed=N|random",
+       [&](std::string_view value) {
+         seed_random = value == "random";
+         return seed_random || nymix::SetUint64(seed)(value);
+       }},
       // Replay ONE scenario from the exact generator seed a failure line
       // printed (`run N seed S ...`), skipping the base-seed derivation.
-      gen_seed = static_cast<uint64_t>(std::strtoull(v, nullptr, 10));
-      has_gen_seed = true;
-    } else if (const char* v = value("--family=")) {
-      nymix::Result<nymix::ScenarioFamily> family = nymix::ParseScenarioFamily(v);
-      if (!family.ok()) {
-        std::fprintf(stderr, "nymfuzz: unknown family '%s'\n", v);
-        return 2;
-      }
-      generator_options.family = *family;
-    } else if (const char* v = value("--max-steps=")) {
-      generator_options.max_steps = std::atoi(v);
-      if (generator_options.max_steps <= 0) return Usage();
-    } else if (const char* v = value("--out-dir=")) {
-      out_dir = v;
-    } else if (const char* v = value("--plant=")) {
-      if (std::strcmp(v, "nat-leak") != 0) {
-        std::fprintf(stderr, "nymfuzz: unknown plant '%s' (only nat-leak)\n", v);
-        return 2;
-      }
-      runner_options.plant_nat_leak = true;
-    } else if (const char* v = value("--disable-oracle=")) {
-      if (!nymix::IsKnownOracle(v)) {
-        std::fprintf(stderr, "nymfuzz: unknown oracle '%s' (see --list-oracles)\n", v);
-        return 2;
-      }
-      runner_options.disabled_oracles.push_back(v);
-    } else if (arg == "--no-shrink") {
-      do_shrink = false;
-    } else if (arg == "--verbose" || arg == "-v") {
-      verbose = true;
-    } else if (arg == "--dump") {
-      dump = true;
-    } else if (arg == "--list-oracles") {
-      list_oracles = true;
-    } else if (arg == "--replay") {
-      if (++i >= argc) return Usage();
-      replay_path = argv[i];
-    } else if (const char* v = value("--replay=")) {
-      replay_path = v;
-    } else if (arg == "--corpus") {
-      if (++i >= argc) return Usage();
-      corpus_dir = argv[i];
-    } else if (const char* v = value("--corpus=")) {
-      corpus_dir = v;
-    } else if (const char* v = value("--record=")) {
-      record_path = v;
-    } else if (arg == "--minimize") {
-      if (++i >= argc) return Usage();
-      minimize_path = argv[i];
-    } else if (const char* v = value("--minimize=")) {
-      minimize_path = v;
-    } else if (const char* v = value("--out=")) {
-      minimize_out = v;
-    } else {
-      std::fprintf(stderr, "nymfuzz: unknown argument '%s'\n", arg.c_str());
-      return Usage();
-    }
+      {"--gen-seed", "--gen-seed=S",
+       [&](std::string_view value) {
+         has_gen_seed = true;
+         return nymix::SetUint64(gen_seed)(value);
+       }},
+      {"--family", "--family=F",
+       [&](std::string_view value) {
+         nymix::Result<nymix::ScenarioFamily> family = nymix::ParseScenarioFamily(value);
+         if (family.ok()) {
+           generator_options.family = *family;
+         }
+         return family.ok();
+       },
+       Flag::kChoice},
+      {"--max-steps", "--max-steps=N", nymix::SetPositive(generator_options.max_steps)},
+      {"--out-dir", "--out-dir=DIR", nymix::SetText(out_dir)},
+      {"--plant", "--plant=nat-leak", nymix::SetOneOf(plant, {"nat-leak"}), Flag::kChoice},
+      {"--no-shrink", "--no-shrink", set_switch(do_shrink, false), Flag::kSwitch},
+      {"--disable-oracle", "--disable-oracle=NAME",
+       [&](std::string_view value) {
+         if (!nymix::IsKnownOracle(value)) {
+           return false;
+         }
+         runner_options.disabled_oracles.emplace_back(value);
+         return true;
+       },
+       Flag::kChoice},
+      {"--verbose", "--verbose", set_switch(verbose, true), Flag::kSwitch},
+      {"--dump", "--dump", set_switch(dump, true), Flag::kSwitch},
+      {"--record", "--record=FILE", nymix::SetText(record_path)},
+      {"--replay", "--replay FILE", nymix::SetText(replay_path)},
+      {"--corpus", "--corpus DIR", nymix::SetText(corpus_dir)},
+      {"--minimize", "--minimize FILE", nymix::SetText(minimize_path)},
+      {"--out", "--out=FILE", nymix::SetText(minimize_out)},
+      {"--list-oracles", "--list-oracles", set_switch(list_oracles, true), Flag::kSwitch},
+  };
+  if (int rc = nymix::ParseFlags("nymfuzz", flags, argc, argv); rc >= 0) {
+    return rc;
   }
+  runner_options.plant_nat_leak = !plant.empty();
 
   if (list_oracles) {
     for (const nymix::OracleInfo& oracle : nymix::AllOracles()) {
