@@ -31,6 +31,8 @@
 #include "bench/bench_stats.h"
 #include "src/adversary/experiment.h"
 #include "src/crypto/sha256.h"
+#include "src/obs/observability.h"
+#include "src/util/bytes.h"
 
 using namespace nymix;
 
@@ -46,17 +48,6 @@ struct RowResult {
   AdversaryReport report;
   std::string digest;  // trace + metrics + report, hex SHA-256
 };
-
-std::string HexDigest(const Sha256Digest& digest) {
-  static const char* kHex = "0123456789abcdef";
-  std::string out;
-  out.reserve(digest.size() * 2);
-  for (uint8_t byte : digest) {
-    out.push_back(kHex[byte >> 4]);
-    out.push_back(kHex[byte & 0xf]);
-  }
-  return out;
-}
 
 // One experiment run. The digest covers the merged trace, the merged
 // metrics dump, and the exported adversary.* family — everything a thread
@@ -86,11 +77,10 @@ RowResult RunRow(BenchStats& stats, const AdversaryOptions& options, int shards,
   adversary_metrics.set_enabled(true);
   AdversaryExperiment::ExportMetrics(row.report, adversary_metrics);
 
-  std::ostringstream digest_input;
-  digest_input << sharded.merged().trace.ToChromeJson();
-  sharded.merged().metrics.WriteJson(digest_input);
-  adversary_metrics.WriteJson(digest_input);
-  row.digest = HexDigest(Sha256::Hash(digest_input.str()));
+  RunSurface surface = RenderSurface(sharded.merged());
+  std::ostringstream adversary_json;
+  adversary_metrics.WriteJson(adversary_json);
+  row.digest = HexEncode(Sha256::Hash(surface.trace + surface.stats + adversary_json.str()));
 
   if (stats.trace_requested()) {
     stats.obs().trace.set_enabled(true);

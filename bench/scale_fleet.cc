@@ -71,6 +71,7 @@
 #include "src/store/file_io.h"
 #include "src/store/image_checkpoint.h"
 #include "src/store/kv_store.h"
+#include "src/util/bytes.h"
 #include "src/util/thread_pool.h"
 
 using namespace nymix;
@@ -140,17 +141,6 @@ double AcquireWarmImages(WarmStart& warm, int copies,
   // nymlint:allow(determinism-wallclock): restore cost is the measurement; it never feeds virtual time
   auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-std::string HexDigest(const Sha256Digest& digest) {
-  static const char* kHex = "0123456789abcdef";
-  std::string out;
-  out.reserve(digest.size() * 2);
-  for (uint8_t byte : digest) {
-    out.push_back(kHex[byte >> 4]);
-    out.push_back(kHex[byte & 0xf]);
-  }
-  return out;
 }
 
 // Crossed topology only: a serial calibration run (threads=1, no
@@ -230,14 +220,14 @@ PointResult RunPoint(BenchStats& stats, FleetOptions options, ShardPlan plan, ui
   sharded.MergeObservability();
   // nymlint:allow(determinism-wallclock): serialization cost is the trace_encode_ms measurement
   auto encode_start = std::chrono::steady_clock::now();
-  result.trace_sha256 = HexDigest(Sha256::Hash(sharded.merged().trace.ToChromeJson()));
+  result.trace_sha256 = HexEncode(Sha256::Hash(sharded.merged().trace.ToChromeJson()));
   // nymlint:allow(determinism-wallclock): serialization cost is the trace_encode_ms measurement
   auto encode_end = std::chrono::steady_clock::now();
   result.trace_encode_ms =
       std::chrono::duration<double, std::milli>(encode_end - encode_start).count();
   std::ostringstream metrics_json;
   sharded.merged().metrics.WriteJson(metrics_json);
-  result.stats_sha256 = HexDigest(Sha256::Hash(metrics_json.str()));
+  result.stats_sha256 = HexEncode(Sha256::Hash(metrics_json.str()));
 
   // Fold the run into the --trace-out / --stats-out artifacts: the merged
   // stream depends only on (seed, shards, workload), so traces written at

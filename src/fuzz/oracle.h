@@ -26,7 +26,8 @@ struct OracleInfo {
 //   trace-identity       merged trace+metrics bytes identical across
 //                        --threads=1 and the scenario's thread count
 //   mode-identity        trace bytes identical across incremental and
-//                        full-recompute waterfill modes
+//                        full-recompute modes; stats are not compared,
+//                        as the KSM/waterfill work counters differ by design
 //   checkpoint-identity  checkpoint → crash → restore → re-checkpoint
 //                        yields a byte-identical checkpoint log
 //   unionfs-model        UnionFs agrees with a plain map model of the
@@ -38,6 +39,8 @@ struct OracleInfo {
 //   fleet-accounting     fleet aggregates are consistent (exact visit
 //                        counts when fault-free; recovery/abandon ledgers
 //                        never exceed their causes)
+// Both identity oracles go through FirstDivergence (src/obs/observability.h),
+// the single place the byte-identity contract is checked.
 const std::vector<OracleInfo>& AllOracles();
 bool IsKnownOracle(std::string_view name);
 

@@ -52,12 +52,36 @@ int Wrap(int64_t value, int count) {
 }
 
 std::string DigestOf(const std::string& surface) {
-  return HexEncode(DigestToBytes(Sha256::Hash(surface)));
+  return HexEncode(Sha256::Hash(surface));
 }
 
 // Optional observer for RunScenarioGolden: invoked on the merged
 // observability of the base run, before the simulation is torn down.
-using GoldenEmit = std::function<void(const TraceRecorder&, const MetricsRegistry&)>;
+using GoldenEmit = std::function<void(const Observability&)>;
+
+// The identity oracles of every simulation-backed family: the base
+// (threads=1, incremental) run against `rerun(threads, full_recompute)` at
+// the scenario's thread count and, if asked, in full-recompute mode.
+void CheckIdentity(OracleSuite& suite, const char* family, const RunSurface& base,
+                   int64_t threads, bool check_mode,
+                   const std::function<RunSurface(int, bool)>& rerun) {
+  int n = static_cast<int>(ClampI(threads, 1, 8));
+  if (n > 1 && suite.enabled("trace-identity")) {
+    std::string divergence = FirstDivergence(base, rerun(n, false), IdentityAxis::kThreads);
+    if (!divergence.empty()) {
+      suite.Fail("trace-identity", std::string(family) + ", --threads=1 vs --threads=" +
+                                       std::to_string(n) + ": " + divergence);
+    }
+  }
+  if (check_mode && suite.enabled("mode-identity")) {
+    std::string divergence =
+        FirstDivergence(base, rerun(1, true), IdentityAxis::kFullRecompute);
+    if (!divergence.empty()) {
+      suite.Fail("mode-identity",
+                 std::string(family) + ", incremental vs full-recompute: " + divergence);
+    }
+  }
+}
 
 // ------------------------------------------------------------- net family
 
@@ -95,8 +119,7 @@ class FuzzEchoSink : public PacketSink {
 };
 
 struct NetRunResult {
-  std::string trace;
-  std::string stats;
+  RunSurface surface;
   uint64_t flows_started = 0;
   uint64_t flows_done = 0;
 };
@@ -212,10 +235,7 @@ NetRunResult RunNetOnce(const Scenario& scenario, int threads, bool full_recompu
   sharded.MergeObservability();
 
   NetRunResult result;
-  result.trace = sharded.merged().trace.ToChromeJson();
-  std::ostringstream stats;
-  sharded.merged().metrics.WriteJson(stats);
-  result.stats = stats.str();
+  result.surface = RenderSurface(sharded.merged());
   for (int s = 0; s < shards; ++s) {
     result.flows_started += started[static_cast<size_t>(s)];
     result.flows_done += done[static_cast<size_t>(s)];
@@ -224,35 +244,20 @@ NetRunResult RunNetOnce(const Scenario& scenario, int threads, bool full_recompu
 }
 
 void RunNetFamily(const Scenario& scenario, OracleSuite& suite, std::string& surface) {
-  int threads = static_cast<int>(ClampI(scenario.topology.threads, 1, 8));
   NetRunResult base = RunNetOnce(scenario, /*threads=*/1, /*full_recompute=*/false);
   surface += "net flows=" + std::to_string(base.flows_done) + "/" +
              std::to_string(base.flows_started) + "\n";
-  surface += base.trace;
-  surface += base.stats;
+  surface.append(base.surface.trace).append(base.surface.stats);
 
   if (base.flows_done != base.flows_started && suite.enabled("ops-terminate")) {
     suite.Fail("ops-terminate",
                "flows completed " + std::to_string(base.flows_done) + " of " +
                    std::to_string(base.flows_started) + " started");
   }
-  if (threads > 1 && suite.enabled("trace-identity")) {
-    NetRunResult other = RunNetOnce(scenario, threads, /*full_recompute=*/false);
-    if (other.trace != base.trace) {
-      suite.Fail("trace-identity", "trace bytes diverged between --threads=1 and --threads=" +
-                                       std::to_string(threads));
-    } else if (other.stats != base.stats) {
-      suite.Fail("trace-identity", "metrics bytes diverged between --threads=1 and --threads=" +
-                                       std::to_string(threads));
-    }
-  }
-  if (scenario.topology.check_mode_identity && suite.enabled("mode-identity")) {
-    NetRunResult full = RunNetOnce(scenario, /*threads=*/1, /*full_recompute=*/true);
-    if (full.trace != base.trace) {
-      suite.Fail("mode-identity",
-                 "trace bytes diverged between incremental and full-recompute waterfill");
-    }
-  }
+  CheckIdentity(suite, "net", base.surface, scenario.topology.threads,
+                scenario.topology.check_mode_identity, [&](int threads, bool full_recompute) {
+                  return RunNetOnce(scenario, threads, full_recompute).surface;
+                });
 }
 
 // ------------------------------------------------------------ host family
@@ -639,17 +644,14 @@ void RunHostFamily(const Scenario& scenario, const RunnerOptions& options, Oracl
 
   // Fold the trace into the outcome surface: replay byte-identity covers
   // the entire event stream, not just the ad-hoc log lines above.
-  surface += rig.obs.trace.ToChromeJson();
-  std::ostringstream metrics;
-  rig.obs.metrics.WriteJson(metrics);
-  surface += metrics.str();
+  RunSurface run = RenderSurface(rig.obs);
+  surface.append(run.trace).append(run.stats);
 }
 
 // ----------------------------------------------------------- fleet family
 
 struct FleetRunResult {
-  std::string trace;
-  std::string stats;
+  RunSurface surface;
   uint64_t visits = 0;
   uint64_t churns = 0;
   uint64_t visit_failures = 0;
@@ -709,12 +711,11 @@ FleetRunResult RunFleetOnce(const Scenario& scenario, int threads, bool full_rec
   sharded.MergeObservability();
 
   FleetRunResult result;
-  result.trace = sharded.merged().trace.ToChromeJson();
-  std::ostringstream stats;
-  sharded.merged().metrics.WriteJson(stats);
-  stats << fleet.visits() << "/" << fleet.churns() << "/" << fleet.visit_failures() << "/"
-        << fleet.vm_recoveries() << "/" << fleet.slots_abandoned();
-  result.stats = stats.str();
+  result.surface = RenderSurface(sharded.merged());
+  result.surface.stats += std::to_string(fleet.visits()) + "/" + std::to_string(fleet.churns()) +
+                          "/" + std::to_string(fleet.visit_failures()) + "/" +
+                          std::to_string(fleet.vm_recoveries()) + "/" +
+                          std::to_string(fleet.slots_abandoned());
   result.visits = fleet.visits();
   result.churns = fleet.churns();
   result.visit_failures = fleet.visit_failures();
@@ -725,15 +726,13 @@ FleetRunResult RunFleetOnce(const Scenario& scenario, int threads, bool full_rec
 
 void RunFleetFamily(const Scenario& scenario, OracleSuite& suite, std::string& surface) {
   const ScenarioTopology& t = scenario.topology;
-  int threads = static_cast<int>(ClampI(t.threads, 1, 8));
   FleetRunResult base = RunFleetOnce(scenario, /*threads=*/1, /*full_recompute=*/false);
   surface += "fleet visits=" + std::to_string(base.visits) +
              " churns=" + std::to_string(base.churns) +
              " vfail=" + std::to_string(base.visit_failures) +
              " recov=" + std::to_string(base.vm_recoveries) +
              " abandoned=" + std::to_string(base.slots_abandoned) + "\n";
-  surface += base.trace;
-  surface += base.stats;
+  surface.append(base.surface.trace).append(base.surface.stats);
 
   if (suite.enabled("fleet-accounting")) {
     int nyms = static_cast<int>(ClampI(t.nym_count, 1, 8));
@@ -773,23 +772,10 @@ void RunFleetFamily(const Scenario& scenario, OracleSuite& suite, std::string& s
     return;
   }
 
-  if (threads > 1 && suite.enabled("trace-identity")) {
-    FleetRunResult other = RunFleetOnce(scenario, threads, /*full_recompute=*/false);
-    if (other.trace != base.trace) {
-      suite.Fail("trace-identity", "fleet trace diverged between --threads=1 and --threads=" +
-                                       std::to_string(threads));
-    } else if (other.stats != base.stats) {
-      suite.Fail("trace-identity", "fleet metrics diverged between --threads=1 and --threads=" +
-                                       std::to_string(threads));
-    }
-  }
-  if (t.check_mode_identity && suite.enabled("mode-identity")) {
-    FleetRunResult full = RunFleetOnce(scenario, /*threads=*/1, /*full_recompute=*/true);
-    if (full.trace != base.trace) {
-      suite.Fail("mode-identity",
-                 "fleet trace diverged between incremental and full-recompute modes");
-    }
-  }
+  CheckIdentity(suite, "fleet", base.surface, t.threads, t.check_mode_identity,
+                [&](int threads, bool full_recompute) {
+                  return RunFleetOnce(scenario, threads, full_recompute).surface;
+                });
 }
 
 // --------------------------------------------------------- decoder family
@@ -969,8 +955,7 @@ class WindowedSink : public PacketSink {
 };
 
 struct ParRunResult {
-  std::string trace;
-  std::string stats;
+  RunSurface surface;
   uint64_t deliveries = 0;
 };
 
@@ -1065,44 +1050,33 @@ ParRunResult RunParallelOnce(const Scenario& scenario, int threads,
   sharded.RunUntilIdle();
   sharded.MergeObservability();
   if (golden != nullptr) {
-    (*golden)(sharded.merged().trace, sharded.merged().metrics);
+    (*golden)(sharded.merged());
   }
 
   ParRunResult result;
-  result.trace = sharded.merged().trace.ToChromeJson();
-  std::ostringstream stats;
-  sharded.merged().metrics.WriteJson(stats);
+  result.surface = RenderSurface(sharded.merged());
   // Epoch structure and cross-delivery totals are part of the identity
   // surface: an executor change that alters horizons shows up here even
   // when the trace happens to coincide.
-  stats << " epochs=" << sharded.epochs() << " xdeliv=" << sharded.cross_deliveries();
+  std::string& stats = result.surface.stats;
+  stats += " epochs=" + std::to_string(sharded.epochs()) +
+           " xdeliv=" + std::to_string(sharded.cross_deliveries());
   for (const ParChannel& par : channels) {
-    stats << " " << par.sink_a->delivered() << "/" << par.sink_b->delivered();
+    stats += " " + std::to_string(par.sink_a->delivered()) + "/" +
+             std::to_string(par.sink_b->delivered());
   }
-  result.stats = stats.str();
   result.deliveries = sharded.cross_deliveries();
   return result;
 }
 
 void RunParallelFamily(const Scenario& scenario, OracleSuite& suite, std::string& surface) {
-  int threads = static_cast<int>(ClampI(scenario.topology.threads, 1, 8));
   ParRunResult base = RunParallelOnce(scenario, /*threads=*/1);
   surface += "parallel deliveries=" + std::to_string(base.deliveries) + "\n";
-  surface += base.trace;
-  surface += base.stats;
+  surface.append(base.surface.trace).append(base.surface.stats);
 
-  if (threads > 1 && suite.enabled("trace-identity")) {
-    ParRunResult other = RunParallelOnce(scenario, threads);
-    if (other.trace != base.trace) {
-      suite.Fail("trace-identity",
-                 "windowed-storm trace diverged between --threads=1 and --threads=" +
-                     std::to_string(threads));
-    } else if (other.stats != base.stats) {
-      suite.Fail("trace-identity",
-                 "windowed-storm metrics/epochs diverged between --threads=1 and --threads=" +
-                     std::to_string(threads));
-    }
-  }
+  CheckIdentity(suite, "parallel", base.surface, scenario.topology.threads,
+                /*check_mode=*/false,
+                [&](int threads, bool) { return RunParallelOnce(scenario, threads).surface; });
 }
 
 // -------------------------------------------------------- adversary family
@@ -1113,8 +1087,7 @@ void RunParallelFamily(const Scenario& scenario, OracleSuite& suite, std::string
 // same-host leak always has positive pairs (with singleton hosts the
 // true-positive class is empty and advantage is undefined).
 struct AdvRunResult {
-  std::string trace;
-  std::string stats;
+  RunSurface surface;
   AdversaryReport report;
 };
 
@@ -1153,23 +1126,22 @@ AdvRunResult RunAdversaryOnce(const Scenario& scenario, int threads,
   experiment.Run();
   sharded.MergeObservability();
   if (golden != nullptr) {
-    (*golden)(sharded.merged().trace, sharded.merged().metrics);
+    (*golden)(sharded.merged());
   }
 
   AdvRunResult result;
   result.report = experiment.Analyze();
-  result.trace = sharded.merged().trace.ToChromeJson();
+  result.surface = RenderSurface(sharded.merged());
 
   MetricsRegistry adversary_metrics;
   adversary_metrics.set_enabled(true);
   adversary_metrics.set_record_wall_time(false);
   AdversaryExperiment::ExportMetrics(result.report, adversary_metrics);
   std::ostringstream stats;
-  sharded.merged().metrics.WriteJson(stats);
   stats << "\n";
   adversary_metrics.WriteJson(stats);
   stats << " visits=" << experiment.visits() << " churns=" << experiment.churns();
-  result.stats = stats.str();
+  result.surface.stats += stats.str();
   return result;
 }
 
@@ -1184,7 +1156,6 @@ void RunAdversaryFamily(const Scenario& scenario, OracleSuite& suite, std::strin
       !(plant == LeakPlant::kDisabledScrub && options.workload != WorkloadMix::kUpload &&
         options.workload != WorkloadMix::kMixed);
 
-  int threads = static_cast<int>(ClampI(scenario.topology.threads, 1, 8));
   AdvRunResult base = RunAdversaryOnce(scenario, /*threads=*/1);
   char line[160];
   std::snprintf(line, sizeof(line),
@@ -1193,8 +1164,7 @@ void RunAdversaryFamily(const Scenario& scenario, OracleSuite& suite, std::strin
                 base.report.linkage.linkage_probability,
                 static_cast<unsigned long long>(base.report.nym_instances));
   surface += line;
-  surface += base.trace;
-  surface += base.stats;
+  surface.append(base.surface.trace).append(base.surface.stats);
 
   if (suite.enabled("adversary-leak")) {
     double advantage = base.report.linkage.advantage;
@@ -1209,18 +1179,9 @@ void RunAdversaryFamily(const Scenario& scenario, OracleSuite& suite, std::strin
     }
   }
 
-  if (threads > 1 && suite.enabled("trace-identity")) {
-    AdvRunResult other = RunAdversaryOnce(scenario, threads);
-    if (other.trace != base.trace) {
-      suite.Fail("trace-identity",
-                 "adversary trace diverged between --threads=1 and --threads=" +
-                     std::to_string(threads));
-    } else if (other.stats != base.stats) {
-      suite.Fail("trace-identity",
-                 "adversary metrics diverged between --threads=1 and --threads=" +
-                     std::to_string(threads));
-    }
-  }
+  CheckIdentity(suite, "adversary", base.surface, scenario.topology.threads,
+                /*check_mode=*/false,
+                [&](int threads, bool) { return RunAdversaryOnce(scenario, threads).surface; });
 }
 
 }  // namespace
@@ -1257,9 +1218,8 @@ RunReport RunScenario(const Scenario& scenario, const RunnerOptions& options) {
   return report;
 }
 
-Status RunScenarioGolden(
-    const Scenario& scenario,
-    const std::function<void(const TraceRecorder& trace, const MetricsRegistry& metrics)>& emit) {
+Status RunScenarioGolden(const Scenario& scenario,
+                         const std::function<void(const Observability& merged)>& emit) {
   switch (scenario.family) {
     case ScenarioFamily::kParallel:
       RunParallelOnce(scenario, /*threads=*/1, &emit);

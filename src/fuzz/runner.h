@@ -22,8 +22,7 @@
 
 #include "src/fuzz/oracle.h"
 #include "src/fuzz/scenario.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/observability.h"
 
 namespace nymix {
 
@@ -41,13 +40,12 @@ RunReport RunScenario(const Scenario& scenario, const RunnerOptions& options = {
 
 // Golden-trace promotion hook (tests/golden_scenarios.cc): runs the
 // scenario's base threads=1 simulation — no oracles, no rerun — and hands
-// the merged trace/metrics to `emit` before teardown, so a clean corpus
+// the merged observability to `emit` before teardown, so a clean corpus
 // survivor can be re-emitted as a tests/golden/ JSON/NBT pair. Supported
 // for the simulation-backed families that merge shard observability
 // (parallel, adversary); other families return InvalidArgumentError.
-Status RunScenarioGolden(
-    const Scenario& scenario,
-    const std::function<void(const TraceRecorder& trace, const MetricsRegistry& metrics)>& emit);
+Status RunScenarioGolden(const Scenario& scenario,
+                         const std::function<void(const Observability& merged)>& emit);
 
 }  // namespace nymix
 

@@ -22,7 +22,7 @@
 #include "src/adversary/experiment.h"
 #include "src/adversary/observer.h"
 #include "src/net/simulation.h"
-#include "src/obs/metrics.h"
+#include "src/obs/observability.h"
 
 namespace nymix {
 namespace {
@@ -31,11 +31,11 @@ constexpr int kSweepSeeds = 20;
 constexpr uint64_t kSeedBase = 1000;
 constexpr int kShards = 4;
 
+// `surface.stats` is the merged metrics dump followed by the exported
+// adversary.* family.
 struct RunOutput {
   AdversaryReport report;
-  std::string trace_json;
-  std::string metrics_json;
-  std::string adversary_json;
+  RunSurface surface;
 };
 
 RunOutput RunExperiment(const AdversaryOptions& options, int threads, uint64_t seed) {
@@ -47,16 +47,13 @@ RunOutput RunExperiment(const AdversaryOptions& options, int threads, uint64_t s
 
   RunOutput out;
   out.report = experiment.Analyze();
-  out.trace_json = sharded.merged().trace.ToChromeJson();
-  std::ostringstream metrics;
-  sharded.merged().metrics.WriteJson(metrics);
-  out.metrics_json = metrics.str();
+  out.surface = RenderSurface(sharded.merged());
   MetricsRegistry adversary_metrics;
   adversary_metrics.set_enabled(true);
   AdversaryExperiment::ExportMetrics(out.report, adversary_metrics);
   std::ostringstream adversary;
   adversary_metrics.WriteJson(adversary);
-  out.adversary_json = adversary.str();
+  out.surface.stats += adversary.str();
   return out;
 }
 
@@ -124,8 +121,8 @@ INSTANTIATE_TEST_SUITE_P(Threads, AdversarySweep, ::testing::Values(1, 2, 4),
 // --- Thread-count byte-identity ------------------------------------------
 
 // The merged trace, the merged metrics dump, and the adversary.* family
-// must not move a byte when only the thread count changes — compared as
-// full strings, not digests, so a failure localizes.
+// must not move a byte when only the thread count changes — compared byte
+// for byte, not as digests, so a failure names the part and the offset.
 TEST(AdversaryDeterminism, ThreadCountsProduceIdenticalBytes) {
   for (uint64_t seed : {7u, 21u, 404u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -133,9 +130,7 @@ TEST(AdversaryDeterminism, ThreadCountsProduceIdenticalBytes) {
     for (int threads : {2, 4}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
       RunOutput other = RunExperiment(PlantedOptions(LeakPlant::kNone), threads, seed);
-      EXPECT_EQ(base.trace_json, other.trace_json);
-      EXPECT_EQ(base.metrics_json, other.metrics_json);
-      EXPECT_EQ(base.adversary_json, other.adversary_json);
+      EXPECT_EQ(FirstDivergence(base.surface, other.surface, IdentityAxis::kThreads), "");
     }
   }
 }
@@ -145,8 +140,7 @@ TEST(AdversaryDeterminism, ThreadCountsProduceIdenticalBytes) {
 TEST(AdversaryDeterminism, PlantedRunsAreThreadStable) {
   RunOutput base = RunExperiment(PlantedOptions(LeakPlant::kSharedCookieJar), 1, 77);
   RunOutput other = RunExperiment(PlantedOptions(LeakPlant::kSharedCookieJar), 4, 77);
-  EXPECT_EQ(base.adversary_json, other.adversary_json);
-  EXPECT_EQ(base.trace_json, other.trace_json);
+  EXPECT_EQ(FirstDivergence(base.surface, other.surface, IdentityAxis::kThreads), "");
 }
 
 // --- Tap metadata-only contract ------------------------------------------

@@ -5,7 +5,6 @@
 // nondeterminism that survives nymlint's static rules.
 #include <array>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -166,7 +165,7 @@ FleetScenarioRun RunFleetScenario(uint64_t seed, bool full_recompute) {
 // instead of cold builds. Image content is a pure function of (name, seed,
 // size), so the warm run must replay the exact same event stream — the
 // merged trace AND the merged metrics dump, byte for byte.
-std::string RunShardedFleetTrace(uint64_t seed, int threads, KvStore* warm) {
+RunSurface RunShardedFleetSurface(uint64_t seed, int threads, KvStore* warm) {
   ShardedSimulation sharded(seed, ShardPlan{/*shards=*/2, threads});
   sharded.EnableObservability(/*record_wall_time=*/false);
   FleetOptions options;
@@ -183,10 +182,7 @@ std::string RunShardedFleetTrace(uint64_t seed, int threads, KvStore* warm) {
   ShardedFleet fleet(sharded, options, seed);
   fleet.Run();
   sharded.MergeObservability();
-  std::ostringstream out;
-  out << sharded.merged().trace.ToChromeJson();
-  sharded.merged().metrics.WriteJson(out);
-  return out.str();
+  return RenderSurface(sharded.merged());
 }
 
 // Whole-host crash → restore-from-checkpoint, PR 3's RecoverNym lifted to
@@ -357,20 +353,20 @@ TEST(DeterminismTest, FleetScenarioSameSeedIsByteIdentical) {
 // checkpointed images (src/store/image_checkpoint) emits the same trace
 // and metrics bytes as a cold-built one, at one thread and at two.
 TEST(DeterminismTest, WarmStartFleetTraceIsByteIdenticalToCold) {
-  const std::string cold = RunShardedFleetTrace(11, /*threads=*/1, nullptr);
+  const RunSurface cold = RunShardedFleetSurface(11, /*threads=*/1, nullptr);
 
   // The first warm run finds an empty store: shard 0's acquire cold-builds
   // and writes the checkpoint, shard 1's restores it — the two paths mix
   // within one run. The second warm run is pure restore, multi-threaded.
   KvStore store;
-  const std::string warm_seeding = RunShardedFleetTrace(11, /*threads=*/1, &store);
+  const RunSurface warm_seeding = RunShardedFleetSurface(11, /*threads=*/1, &store);
   EXPECT_TRUE(
       store.Contains(ImageCheckpointKey(kFleetImageName, kFleetImageSeed, kFleetImageSizeBytes)));
-  const std::string warm_restored = RunShardedFleetTrace(11, /*threads=*/2, &store);
+  const RunSurface warm_restored = RunShardedFleetSurface(11, /*threads=*/2, &store);
 
-  ASSERT_FALSE(cold.empty());
-  EXPECT_EQ(cold, warm_seeding);
-  EXPECT_EQ(cold, warm_restored);
+  ASSERT_FALSE(cold.trace.empty());
+  EXPECT_EQ(FirstDivergence(cold, warm_seeding, IdentityAxis::kThreads), "");
+  EXPECT_EQ(FirstDivergence(cold, warm_restored, IdentityAxis::kThreads), "");
 }
 
 // The whole-host crash/restore round trip is lossless down to the store

@@ -5,8 +5,10 @@
 // Usage: golden_gen [--format=json|nbt] <output-dir> [scenario...]
 //   --format=json (default) writes <name>.json, the checked-in corpus
 //   --format=nbt writes <name>.nbt, the binary encoding of the same run
-// Naming a scenario that does not exist is a hard error (exit 2) listing
-// the library — a typo must not silently regenerate nothing.
+// `--help` prints the usage and exits 0. Any other argument starting with
+// `-`, a bad --format, or a scenario that does not exist is a hard error
+// (exit 2) before any scenario runs — a typo must not silently regenerate
+// nothing, nor be taken for the output directory.
 #include <cstdio>
 #include <cstring>
 // nymlint:allow-file(store-raw-io): writes the human-reviewable golden JSON
@@ -18,6 +20,8 @@
 #include "tests/golden_scenarios.h"
 
 namespace {
+
+constexpr char kUsage[] = "usage: golden_gen [--format=json|nbt] <output-dir> [scenario...]\n";
 
 bool WriteFileOrComplain(const std::string& path, const char* data, size_t size) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -41,21 +45,28 @@ int main(int argc, char** argv) {
   std::string out_dir;
   std::vector<std::string> wanted;
   for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    }
     if (std::strncmp(argv[i], "--format=", 9) == 0) {
       format = argv[i] + 9;
+    } else if (argv[i][0] == '-') {
+      std::fprintf(stderr, "golden_gen: unknown argument \"%s\"\n%s", argv[i], kUsage);
+      return 2;
     } else if (out_dir.empty()) {
       out_dir = argv[i];
     } else {
       wanted.push_back(argv[i]);
     }
   }
-  if (out_dir.empty()) {
-    std::fprintf(stderr, "usage: golden_gen [--format=json|nbt] <output-dir> [scenario...]\n");
+  if (format != "json" && format != "nbt") {
+    std::fprintf(stderr, "golden_gen: --format must be json or nbt, got \"%s\"\n%s",
+                 format.c_str(), kUsage);
     return 2;
   }
-  if (format != "json" && format != "nbt") {
-    std::fprintf(stderr, "golden_gen: --format must be json or nbt, got \"%s\"\n",
-                 format.c_str());
+  if (out_dir.empty()) {
+    std::fputs(kUsage, stderr);
     return 2;
   }
   for (const std::string& name : wanted) {

@@ -1,6 +1,5 @@
 #include "tests/golden_scenarios.h"
 
-#include <sstream>
 #include <utility>
 
 #include "src/core/fleet.h"
@@ -14,8 +13,9 @@
 namespace nymix {
 namespace {
 
-// Each scenario is a run helper handing its finished recorder (and, for the
-// fleet, the merged registry) to an emitter, so the JSON and NBT goldens
+// Each scenario is a run helper handing its finished observability to an
+// emitter, along with whether its metrics belong in the golden (only the
+// multi-shard runs pin the merged registry), so the JSON and NBT goldens
 // are two encodings of one run rather than two runs that could drift.
 template <typename Emit>
 auto RunFig5(Emit emit) {
@@ -41,7 +41,7 @@ auto RunFig5(Emit emit) {
   sim.loop().ScheduleAt(Millis(700), [relay] { relay->SetDown(false); });
   sim.RunUntil([&done] { return done == 4; });
 
-  return emit(obs.trace, static_cast<const MetricsRegistry*>(nullptr));
+  return emit(obs, /*with_metrics=*/false);
 }
 
 template <typename Emit>
@@ -57,7 +57,7 @@ auto RunFig7(Emit emit) {
   NYMIX_CHECK(bed.VisitBlocking(nym, bed.sites().ByName("BBC")).ok());
   NYMIX_CHECK(bed.manager().TerminateNym(nym).ok());
 
-  return emit(obs.trace, static_cast<const MetricsRegistry*>(nullptr));
+  return emit(obs, /*with_metrics=*/false);
 }
 
 template <typename Emit>
@@ -73,7 +73,7 @@ auto RunScaleFleet(Emit emit) {
 
   // Trace plus the metrics dump: the fleet scenario is the one place the
   // corpus covers the merged multi-shard registry format too.
-  return emit(sharded.merged().trace, &sharded.merged().metrics);
+  return emit(sharded.merged(), /*with_metrics=*/true);
 }
 
 // Promoted fuzz survivors: the checked-in .nymfuzz corpus entry is the
@@ -84,30 +84,24 @@ template <typename Emit>
 auto RunCorpusSurvivor(const char* basename, Emit emit) {
   std::string path = std::string(NYMIX_CORPUS_DIR) + "/" + basename;
   Result<Bytes> data = ReadFileBytes(path);
-  NYMIX_CHECK_MSG(data.ok(), "golden corpus survivor unreadable: " + path);
+  NYMIX_CHECK_MSG(data.ok(), ("golden corpus survivor unreadable: " + path).c_str());
   Result<ReproFile> repro = ReproFromText(StringFromBytes(*data));
-  NYMIX_CHECK_MSG(repro.ok(), "golden corpus survivor unparsable: " + path);
-  decltype(emit(std::declval<const TraceRecorder&>(),
-                static_cast<const MetricsRegistry*>(nullptr))) out;
-  Status ran = RunScenarioGolden(
-      repro->scenario, [&out, &emit](const TraceRecorder& trace, const MetricsRegistry& metrics) {
-        out = emit(trace, &metrics);
-      });
-  NYMIX_CHECK_MSG(ran.ok(), "golden corpus survivor failed to run: " + path);
+  NYMIX_CHECK_MSG(repro.ok(), ("golden corpus survivor unparsable: " + path).c_str());
+  decltype(emit(std::declval<const Observability&>(), true)) out;
+  Status ran = RunScenarioGolden(repro->scenario, [&out, &emit](const Observability& merged) {
+    out = emit(merged, /*with_metrics=*/true);
+  });
+  NYMIX_CHECK_MSG(ran.ok(), ("golden corpus survivor failed to run: " + path).c_str());
   return out;
 }
 
-std::string EmitJson(const TraceRecorder& trace, const MetricsRegistry* metrics) {
-  std::ostringstream out;
-  out << trace.ToChromeJson();
-  if (metrics != nullptr) {
-    metrics->WriteJson(out);
-  }
-  return out.str();
+std::string EmitJson(const Observability& obs, bool with_metrics) {
+  RunSurface surface = RenderSurface(obs);
+  return with_metrics ? surface.trace + surface.stats : surface.trace;
 }
 
-Bytes EmitNbt(const TraceRecorder& trace, const MetricsRegistry* metrics) {
-  return EncodeNbt(&trace, metrics);
+Bytes EmitNbt(const Observability& obs, bool with_metrics) {
+  return EncodeNbt(&obs.trace, with_metrics ? &obs.metrics : nullptr);
 }
 
 std::string Fig5Small() { return RunFig5(EmitJson); }

@@ -252,5 +252,56 @@ TEST(ObservabilityTest, TraceFileRoundTripsThroughValidator) {
   EXPECT_NE(buffer.str().find("\"work\""), std::string::npos);
 }
 
+// ------------------------------------------------- run surface identity
+
+// Two runs that recorded the same thing: one counter and one instant.
+Observability SmallRun(uint64_t counter_value) {
+  Observability obs;
+  obs.EnableAll();
+  obs.trace.set_record_wall_time(false);
+  obs.metrics.set_record_wall_time(false);
+  obs.metrics.GetCounter("hv.ksm.pages_scanned")->Increment(counter_value);
+  obs.trace.AddInstant("net", "flow_done", "s0", Millis(3));
+  return obs;
+}
+
+TEST(RunSurfaceTest, IdenticalSurfacesHaveNoDivergence) {
+  RunSurface base = RenderSurface(SmallRun(7));
+  RunSurface other = RenderSurface(SmallRun(7));
+  EXPECT_EQ(FirstDivergence(base, other, IdentityAxis::kThreads), "");
+  EXPECT_EQ(FirstDivergence(base, other, IdentityAxis::kFullRecompute), "");
+}
+
+TEST(RunSurfaceTest, TraceDifferenceNamesTraceAndOffsetOnBothAxes) {
+  RunSurface base{"[{\"ts\":10}]", "{}"};
+  RunSurface other{"[{\"ts\":11}]", "{}"};
+  for (IdentityAxis axis : {IdentityAxis::kThreads, IdentityAxis::kFullRecompute}) {
+    EXPECT_EQ(FirstDivergence(base, other, axis),
+              "trace bytes differ at offset 8 (base 11 bytes, other 11 bytes)");
+  }
+  // A trace that stops early differs at the shorter one's length.
+  RunSurface truncated{"[{\"ts\":10}", "{}"};
+  EXPECT_EQ(FirstDivergence(base, truncated, IdentityAxis::kThreads),
+            "trace bytes differ at offset 10 (base 11 bytes, other 10 bytes)");
+  // The trace is reported first even when the stats differ too.
+  RunSurface both{"[{\"ts\":11}]", "{\"x\":1}"};
+  EXPECT_EQ(FirstDivergence(base, both, IdentityAxis::kThreads).rfind("trace ", 0), 0u);
+}
+
+// A work counter that only the full-recompute path moves: the threads axis
+// must catch it, the full-recompute axis must let it through.
+TEST(RunSurfaceTest, StatsOnlyDifferenceFailsThreadsAxisOnly) {
+  RunSurface base = RenderSurface(SmallRun(230));
+  RunSurface other = RenderSurface(SmallRun(0));
+  ASSERT_EQ(base.trace, other.trace);
+  size_t offset = base.stats.find("230");
+  ASSERT_NE(offset, std::string::npos);
+  EXPECT_EQ(FirstDivergence(base, other, IdentityAxis::kThreads),
+            "metrics bytes differ at offset " + std::to_string(offset) + " (base " +
+                std::to_string(base.stats.size()) + " bytes, other " +
+                std::to_string(other.stats.size()) + " bytes)");
+  EXPECT_EQ(FirstDivergence(base, other, IdentityAxis::kFullRecompute), "");
+}
+
 }  // namespace
 }  // namespace nymix

@@ -7,18 +7,21 @@
 //     link flaps, swept over >= 20 seeds at 1/2/4/8 threads;
 //   * fleet churn storms — full nym lifecycle (boot, Tor, visits,
 //     terminate + replace) through ShardedFleet.
-// Identity is compared as whole strings: one reordered event, one float
-// summed in a different order, one racing counter — anything — fails the
-// diff. The cross-delivery assertions keep the property non-vacuous.
+// Identity is compared byte for byte through FirstDivergence: one reordered
+// event, one float summed in a different order, one racing counter —
+// anything — fails, naming the part and the first differing offset. The
+// cross-delivery assertions keep the property non-vacuous.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/fleet.h"
+#include "src/obs/observability.h"
 #include "src/parallel/sharded_sim.h"
 #include "src/util/thread_pool.h"
 
@@ -110,8 +113,7 @@ class EchoSink : public PacketSink {
 };
 
 struct StormResult {
-  std::string trace;
-  std::string stats;
+  RunSurface surface;
   uint64_t cross_deliveries = 0;
   uint64_t epochs = 0;
 };
@@ -187,10 +189,7 @@ StormResult RunNetStorm(uint64_t seed, int threads) {
   sharded.MergeObservability();
 
   StormResult result;
-  result.trace = sharded.merged().trace.ToChromeJson();
-  std::ostringstream stats;
-  sharded.merged().metrics.WriteJson(stats);
-  result.stats = stats.str();
+  result.surface = RenderSurface(sharded.merged());
   result.cross_deliveries = sharded.cross_deliveries();
   result.epochs = sharded.epochs();
   return result;
@@ -205,10 +204,8 @@ TEST(ParallelEquivalenceTest, NetStormSeedSweep) {
     ASSERT_GT(base.epochs, 1u) << "seed " << seed;
     for (int threads : {2, 4, 8}) {
       StormResult other = RunNetStorm(seed, threads);
-      ASSERT_EQ(base.trace, other.trace)
-          << "trace diverged: seed " << seed << " threads " << threads;
-      ASSERT_EQ(base.stats, other.stats)
-          << "stats diverged: seed " << seed << " threads " << threads;
+      ASSERT_EQ(FirstDivergence(base.surface, other.surface, IdentityAxis::kThreads), "")
+          << "seed " << seed << " threads " << threads;
       ASSERT_EQ(base.cross_deliveries, other.cross_deliveries);
       ASSERT_EQ(base.epochs, other.epochs);
     }
@@ -229,17 +226,14 @@ StormResult RunFleetStorm(uint64_t seed, int threads) {
   sharded.MergeObservability();
 
   StormResult result;
-  result.trace = sharded.merged().trace.ToChromeJson();
-  std::ostringstream stats;
-  sharded.merged().metrics.WriteJson(stats);
-  result.stats = stats.str();
+  result.surface = RenderSurface(sharded.merged());
   result.epochs = sharded.epochs();
   // Fold the fleet's own aggregates into the identity surface too.
-  std::ostringstream extra;
   FleetKsmStats ksm = fleet.ReconcileKsm();
+  std::ostringstream extra;
   extra << fleet.visits() << "/" << fleet.churns() << "/" << ksm.pages_sharing << "/"
         << ksm.cross_host_extra_sharing();
-  result.stats += extra.str();
+  result.surface.stats += extra.str();
   return result;
 }
 
@@ -248,10 +242,8 @@ TEST(ParallelEquivalenceTest, FleetChurnSeedSweep) {
     StormResult base = RunFleetStorm(seed, /*threads=*/1);
     for (int threads : {2, 4, 8}) {
       StormResult other = RunFleetStorm(seed, threads);
-      ASSERT_EQ(base.trace, other.trace)
-          << "trace diverged: seed " << seed << " threads " << threads;
-      ASSERT_EQ(base.stats, other.stats)
-          << "stats diverged: seed " << seed << " threads " << threads;
+      ASSERT_EQ(FirstDivergence(base.surface, other.surface, IdentityAxis::kThreads), "")
+          << "seed " << seed << " threads " << threads;
     }
   }
 }
@@ -260,7 +252,7 @@ TEST(ParallelEquivalenceTest, FleetChurnSeedSweep) {
 // starts and no snapshot is taken, so nothing is merged, skipped or shared
 // — and the merged output is still byte-identical at every thread count.
 TEST(ParallelEquivalenceTest, KsmOffFleetSharesNothingAndIsThreadStable) {
-  std::string base;
+  RunSurface base;
   for (int threads : {1, 2, 4}) {
     ShardedSimulation sharded(21, ShardPlan{3, threads});
     sharded.EnableObservability(/*record_wall_time=*/false);
@@ -278,14 +270,14 @@ TEST(ParallelEquivalenceTest, KsmOffFleetSharesNothingAndIsThreadStable) {
     EXPECT_EQ(fleet.ksm_pages_sharing(), 0u);
     EXPECT_EQ(fleet.ReconcileKsm().pages_sharing, 0u);
 
-    std::ostringstream out;
-    out << sharded.merged().trace.ToChromeJson();
-    sharded.merged().metrics.WriteJson(out);
-    EXPECT_EQ(out.str().find("ksm_scan"), std::string::npos);
-    if (base.empty()) {
-      base = out.str();
+    RunSurface surface = RenderSurface(sharded.merged());
+    EXPECT_EQ(surface.trace.find("ksm_scan"), std::string::npos);
+    EXPECT_EQ(surface.stats.find("ksm_scan"), std::string::npos);
+    if (threads == 1) {
+      base = std::move(surface);
     } else {
-      ASSERT_EQ(base, out.str()) << "threads " << threads;
+      ASSERT_EQ(FirstDivergence(base, surface, IdentityAxis::kThreads), "")
+          << "threads " << threads;
     }
   }
 }
@@ -295,8 +287,7 @@ TEST(ParallelEquivalenceTest, KsmOffFleetSharesNothingAndIsThreadStable) {
 TEST(ParallelEquivalenceTest, RepeatedRunsAreStable) {
   StormResult first = RunNetStorm(3, /*threads=*/4);
   StormResult second = RunNetStorm(3, /*threads=*/4);
-  EXPECT_EQ(first.trace, second.trace);
-  EXPECT_EQ(first.stats, second.stats);
+  EXPECT_EQ(FirstDivergence(first.surface, second.surface, IdentityAxis::kThreads), "");
 }
 
 // ---------------------------------------------------------------------------
@@ -379,7 +370,7 @@ class OrderRecordingSink : public PacketSink {
 // guards: deliveries that tie on deliver_at must drain in (src shard,
 // channel id, seq) order, at every thread count.
 std::vector<std::pair<SimTime, std::string>> RunBurstStorm(int threads,
-                                                           std::string* trace_out) {
+                                                           RunSurface* surface_out) {
   ShardedSimulation sharded(11, ShardPlan{4, threads});
   sharded.EnableObservability(/*record_wall_time=*/false);
   // Channels 0 and 1 both run shard 1 -> shard 0; channel 2 runs 2 -> 0;
@@ -422,16 +413,16 @@ std::vector<std::pair<SimTime, std::string>> RunBurstStorm(int threads,
   }
   sharded.RunUntilIdle();
   sharded.MergeObservability();
-  if (trace_out != nullptr) {
-    *trace_out = sharded.merged().trace.ToChromeJson();
+  if (surface_out != nullptr) {
+    *surface_out = RenderSurface(sharded.merged());
   }
   EXPECT_EQ(sharded.cross_deliveries(), 4u * 4u * 3u);
   return sink.arrivals();
 }
 
 TEST(ParallelEquivalenceTest, BurstDeliveryTotalOrder) {
-  std::string base_trace;
-  auto base = RunBurstStorm(/*threads=*/1, &base_trace);
+  RunSurface base_surface;
+  auto base = RunBurstStorm(/*threads=*/1, &base_surface);
   ASSERT_EQ(base.size(), 48u);
   // Arrival order must be the documented total order: nondecreasing in
   // virtual time, and within one instant ordered by (src shard, channel id,
@@ -453,10 +444,11 @@ TEST(ParallelEquivalenceTest, BurstDeliveryTotalOrder) {
   }
   ASSERT_TRUE(any_tie);
   for (int threads : {2, 4, 8}) {
-    std::string trace;
-    auto other = RunBurstStorm(threads, &trace);
+    RunSurface surface;
+    auto other = RunBurstStorm(threads, &surface);
     ASSERT_EQ(base, other) << "arrival order diverged at threads " << threads;
-    ASSERT_EQ(base_trace, trace) << "trace diverged at threads " << threads;
+    ASSERT_EQ(FirstDivergence(base_surface, surface, IdentityAxis::kThreads), "")
+        << "threads " << threads;
   }
 }
 
@@ -476,15 +468,12 @@ StormResult RunCrossedFleetStorm(uint64_t seed, int threads, const ShardPlacemen
   sharded.MergeObservability();
 
   StormResult result;
-  result.trace = sharded.merged().trace.ToChromeJson();
-  std::ostringstream stats;
-  sharded.merged().metrics.WriteJson(stats);
-  result.stats = stats.str();
+  result.surface = RenderSurface(sharded.merged());
   result.epochs = sharded.epochs();
   result.cross_deliveries = sharded.cross_deliveries();
   std::ostringstream extra;
   extra << fleet.visits() << "/" << fleet.churns() << "/" << fleet.cloud_fetches();
-  result.stats += extra.str();
+  result.surface.stats += extra.str();
   return result;
 }
 
@@ -496,10 +485,8 @@ TEST(ParallelEquivalenceTest, CrossedFleetSeedSweep) {
     ASSERT_GT(base.epochs, 1u) << "seed " << seed;
     for (int threads : {2, 4, 8}) {
       StormResult other = RunCrossedFleetStorm(seed, threads, ShardPlacement{});
-      ASSERT_EQ(base.trace, other.trace)
-          << "trace diverged: seed " << seed << " threads " << threads;
-      ASSERT_EQ(base.stats, other.stats)
-          << "stats diverged: seed " << seed << " threads " << threads;
+      ASSERT_EQ(FirstDivergence(base.surface, other.surface, IdentityAxis::kThreads), "")
+          << "seed " << seed << " threads " << threads;
       ASSERT_EQ(base.epochs, other.epochs);
       ASSERT_EQ(base.cross_deliveries, other.cross_deliveries);
     }
@@ -525,16 +512,16 @@ TEST(ParallelEquivalenceTest, CrossedFleetBalancedPlacementIdentity) {
   ASSERT_GT(base.cross_deliveries, 0u);
   // The placement label is stamped into the merged trace: identity is
   // visibly a function of (seed, shards, placement).
-  EXPECT_NE(base.trace.find("shard_plan:" + placement.Label()), std::string::npos);
+  EXPECT_NE(base.surface.trace.find("shard_plan:" + placement.Label()), std::string::npos);
   for (int threads : {2, 4, 8}) {
     StormResult other = RunCrossedFleetStorm(seed, threads, placement);
-    ASSERT_EQ(base.trace, other.trace) << "threads " << threads;
-    ASSERT_EQ(base.stats, other.stats) << "threads " << threads;
+    ASSERT_EQ(FirstDivergence(base.surface, other.surface, IdentityAxis::kThreads), "")
+        << "threads " << threads;
   }
   // A different placement is a different experiment: the trace must change
   // (the round-robin run has no placement stamp, and host->shard moves).
   StormResult rr = RunCrossedFleetStorm(seed, /*threads=*/1, ShardPlacement{});
-  EXPECT_NE(base.trace, rr.trace);
+  EXPECT_NE(base.surface.trace, rr.surface.trace);
 }
 
 // Regression: a crossed fleet whose server shard has no hosts of its own.

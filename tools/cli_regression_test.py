@@ -15,10 +15,13 @@ Covers the contracts a shell user (or CI script) relies on:
     bench or writes a file.
   * micro_crypto rejects an unknown flag; nbt2json prints its usage on
     --help and exits 2 on any other "-" argument but --recover.
+  * golden_gen and nymlint print their usage on --help and exit 0, and
+    exit 2 on an unknown flag; neither runs anything or writes a file.
 
 Binary paths come from argv (ctest passes $<TARGET_FILE:...>):
   cli_regression_test.py SCALE_FLEET_BIN NYMFUZZ_BIN CORPUS_DIR
-                         NBT2JSON_BIN MICRO_CRYPTO_BIN TABLE_BENCH_BIN...
+                         NBT2JSON_BIN MICRO_CRYPTO_BIN GOLDEN_GEN_BIN
+                         NYMLINT_BIN TABLE_BENCH_BIN...
 
 Only the standard library is used.
 """
@@ -35,6 +38,8 @@ NYMFUZZ = None
 CORPUS_DIR = None
 NBT2JSON = None
 MICRO_CRYPTO = None
+GOLDEN_GEN = None
+NYMLINT = None
 TABLE_BENCHES = []
 
 
@@ -209,14 +214,45 @@ class Nbt2JsonCliTest(unittest.TestCase):
         self.assertIn("missing.nbt", proc.stderr)
 
 
+class UsageCliTest(unittest.TestCase):
+    """golden_gen and nymlint parse their own argv outside the flag table."""
+
+    def test_help_exits_0_and_bogus_exits_2(self):
+        for binary in (GOLDEN_GEN, NYMLINT):
+            name = os.path.basename(binary)
+            with self.subTest(binary=name):
+                # A stray argument once became golden_gen's output directory:
+                # it ran a scenario, then failed to write "--help/...".
+                proc = run_in_empty_dir(self, binary, "--help")
+                self.assertEqual(proc.returncode, 0, proc.stderr)
+                self.assertTrue(proc.stdout.startswith("usage: %s " % name), proc.stdout)
+                proc = run_in_empty_dir(self, binary, "--bogus")
+                self.assertEqual(proc.returncode, 2, proc.stderr)
+                self.assertIn("--bogus", proc.stderr)
+
+    def test_golden_gen_unknown_flag_prints_usage(self):
+        proc = run_in_empty_dir(self, GOLDEN_GEN, "--bogus", "out")
+        self.assertEqual(proc.returncode, 2, proc.stderr)
+        self.assertIn('golden_gen: unknown argument "--bogus"', proc.stderr)
+        self.assertIn("usage: golden_gen ", proc.stderr)
+
+    def test_golden_gen_rejects_bad_format_before_running(self):
+        proc = run_in_empty_dir(self, GOLDEN_GEN, "--format=xml", "out")
+        self.assertEqual(proc.returncode, 2, proc.stderr)
+        self.assertIn('--format must be json or nbt, got "xml"', proc.stderr)
+
+
 def main():
-    global SCALE_FLEET, NYMFUZZ, CORPUS_DIR, NBT2JSON, MICRO_CRYPTO, TABLE_BENCHES
-    if len(sys.argv) < 6:
+    global SCALE_FLEET, NYMFUZZ, CORPUS_DIR, NBT2JSON, MICRO_CRYPTO, GOLDEN_GEN, NYMLINT
+    global TABLE_BENCHES
+    if len(sys.argv) < 8:
         print("usage: cli_regression_test.py SCALE_FLEET_BIN NYMFUZZ_BIN CORPUS_DIR "
-              "NBT2JSON_BIN MICRO_CRYPTO_BIN TABLE_BENCH_BIN...", file=sys.stderr)
+              "NBT2JSON_BIN MICRO_CRYPTO_BIN GOLDEN_GEN_BIN NYMLINT_BIN "
+              "TABLE_BENCH_BIN...", file=sys.stderr)
         return 2
-    SCALE_FLEET, NYMFUZZ, CORPUS_DIR, NBT2JSON, MICRO_CRYPTO = sys.argv[1:6]
-    TABLE_BENCHES = sys.argv[6:]
+    (SCALE_FLEET, NYMFUZZ, CORPUS_DIR, NBT2JSON, MICRO_CRYPTO, GOLDEN_GEN,
+     NYMLINT) = sys.argv[1:8]
+    TABLE_BENCHES = sys.argv[8:]
     sys.argv = sys.argv[:1]
     unittest.main()
 
