@@ -40,8 +40,10 @@
 // fixing the partition (default 8). Every threaded point records a SHA-256
 // of its merged trace and metrics dump; the bench FAILS (exit 1) if any
 // two thread counts disagree for the same N — that is the executor's
-// byte-identity contract, checked on every bench run. The JSON gains
-// "threaded", "threads_speedup" and "hardware_threads" entries;
+// byte-identity contract, checked on every bench run. The fleet KSM
+// reconcile (fleet_pages_sharing, cross_host_extra_sharing) is gated the
+// same way across thread counts and between the modes of --mode=both.
+// The JSON gains "threaded", "threads_speedup" and "hardware_threads" entries;
 // tools/bench_diff.py gates the speedup only when the recorded hardware
 // actually has the cores to show one.
 //
@@ -246,6 +248,24 @@ PointResult RunPoint(BenchStats& stats, FleetOptions options, ShardPlan plan, ui
     stats.obs().metrics.MergeFrom(sharded.merged().metrics);
   }
   return result;
+}
+
+// The fleet KSM reconcile reads value snapshots of guest memory, so its
+// totals must not move with the thread count or the scan mode. Prints the
+// mismatch and returns false if they do.
+bool SameFleetKsm(const PointResult& base, const PointResult& other, const std::string& axis) {
+  if (base.fleet_pages_sharing == other.fleet_pages_sharing &&
+      base.cross_host_extra_sharing == other.cross_host_extra_sharing) {
+    return true;
+  }
+  std::fprintf(stderr,
+               "scale_fleet: KSM RECONCILE MISMATCH at n=%d, %s: fleet_pages_sharing %llu vs "
+               "%llu, cross_host_extra_sharing %llu vs %llu\n",
+               base.n, axis.c_str(), static_cast<unsigned long long>(base.fleet_pages_sharing),
+               static_cast<unsigned long long>(other.fleet_pages_sharing),
+               static_cast<unsigned long long>(base.cross_host_extra_sharing),
+               static_cast<unsigned long long>(other.cross_host_extra_sharing));
+  return false;
 }
 
 void WriteJson(const std::string& path, const std::string& mode, const std::string& topology,
@@ -497,6 +517,7 @@ int main(int argc, char** argv) {
 
   std::vector<PointResult> incremental;
   std::vector<PointResult> full;
+  bool identity_ok = true;
   for (int n : args.ns) {
     for (bool full_recompute : {false, true}) {
       if (mode == (full_recompute ? "incremental" : "full")) {
@@ -513,11 +534,11 @@ int main(int argc, char** argv) {
     if (mode == "both") {
       std::printf("%-6d %-12s %12.2fx\n", n, "speedup",
                   full.back().wall_seconds / incremental.back().wall_seconds);
+      identity_ok &= SameFleetKsm(incremental.back(), full.back(), "incremental vs full");
     }
   }
 
   std::vector<PointResult> threaded;
-  bool identity_ok = true;
   if (!args.threads_list.empty()) {
     std::printf("# sharded executor: %d shards, topology: %s, hardware threads: %d\n",
                 args.shards, args.topology.c_str(), ThreadPool::HardwareThreads());
@@ -555,6 +576,8 @@ int main(int argc, char** argv) {
                        base.trace_sha256.c_str());
           identity_ok = false;
         }
+        identity_ok &= SameFleetKsm(base, p, "threads=" + std::to_string(base.threads) +
+                                                 " vs threads=" + std::to_string(p.threads));
         threaded.push_back(std::move(p));
       }
     }

@@ -1,5 +1,7 @@
 #include "src/core/fleet.h"
 
+#include <ranges>
+
 namespace nymix {
 namespace {
 
@@ -30,6 +32,16 @@ class FnPacketSink : public PacketSink {
 FleetHooks& DefaultHooks() {
   static FleetHooks hooks;
   return hooks;
+}
+
+// Sums get(item) over `items` in order (the post-run aggregates).
+template <typename Items, typename Get>
+uint64_t SumOver(const Items& items, Get get) {
+  uint64_t total = 0;
+  for (const auto& item : items) {
+    total += get(item);
+  }
+  return total;
 }
 
 }  // namespace
@@ -78,6 +90,7 @@ ShardedFleet::ShardedFleet(ShardedSimulation& sharded, const FleetOptions& optio
   }
 
   int hosts = (options_.nym_count + options_.nyms_per_host - 1) / options_.nyms_per_host;
+  ksm_snapshots_.resize(static_cast<size_t>(hosts));
   if (!options_.placement.empty()) {
     // A placement is part of the experiment definition; a partial or
     // out-of-range table would silently fall back to round-robin for the
@@ -132,11 +145,13 @@ ShardedFleet::ShardedFleet(ShardedSimulation& sharded, const FleetOptions& optio
     }
     Cluster* raw = clusters_.back().get();
     raw->host->ksm().Start(options_.ksm_interval);
-    // Snapshot this host's shareable-content histogram mid-run for the
-    // cross-host reconcile. A plain scheduled event on the host's own loop:
-    // shard-local, so exact virtual-time capture with no cross-thread read.
-    sim.loop().ScheduleAt(options_.ksm_snapshot_time, [raw] {
-      raw->ksm_snapshot = raw->host->ksm().ContentHistogram();
+    // Snapshot this host's memories mid-run for the cross-host reconcile.
+    // A plain scheduled event on the host's own loop: shard-local, so exact
+    // virtual-time capture with no cross-thread read.
+    sim.loop().ScheduleAt(options_.ksm_snapshot_time, [raw, this, c] {
+      for (const GuestMemory* memory : raw->host->ksm().memories()) {
+        ksm_snapshots_[static_cast<size_t>(c)].push_back(*memory);
+      }
     });
   }
 
@@ -491,27 +506,15 @@ void ShardedFleet::FinishSlot(int slot) {
 }
 
 uint64_t ShardedFleet::visits() const {
-  uint64_t total = 0;
-  for (const auto& state : shard_states_) {
-    total += state->visits;
-  }
-  return total;
+  return SumOver(shard_states_, [](const auto& state) { return state->visits; });
 }
 
 uint64_t ShardedFleet::churns() const {
-  uint64_t total = 0;
-  for (const auto& state : shard_states_) {
-    total += state->churns;
-  }
-  return total;
+  return SumOver(shard_states_, [](const auto& state) { return state->churns; });
 }
 
 uint64_t ShardedFleet::cloud_fetches() const {
-  uint64_t total = 0;
-  for (const auto& state : shard_states_) {
-    total += state->cloud_fetches;
-  }
-  return total;
+  return SumOver(shard_states_, [](const auto& state) { return state->cloud_fetches; });
 }
 
 std::vector<double> ShardedFleet::HostWeights() const {
@@ -526,100 +529,55 @@ std::vector<double> ShardedFleet::HostWeights() const {
 }
 
 uint64_t ShardedFleet::visit_failures() const {
-  uint64_t total = 0;
-  for (const auto& state : shard_states_) {
-    total += state->visit_failures;
-  }
-  return total;
+  return SumOver(shard_states_, [](const auto& state) { return state->visit_failures; });
 }
 
 uint64_t ShardedFleet::create_failures() const {
-  uint64_t total = 0;
-  for (const auto& state : shard_states_) {
-    total += state->create_failures;
-  }
-  return total;
+  return SumOver(shard_states_, [](const auto& state) { return state->create_failures; });
 }
 
 uint64_t ShardedFleet::slots_abandoned() const {
-  uint64_t total = 0;
-  for (const auto& state : shard_states_) {
-    total += state->slots_abandoned;
-  }
-  return total;
+  return SumOver(shard_states_, [](const auto& state) { return state->slots_abandoned; });
 }
 
 uint64_t ShardedFleet::vm_recoveries() const {
-  uint64_t total = 0;
-  for (const auto& state : shard_states_) {
-    total += state->vm_recoveries;
-  }
-  return total;
+  return SumOver(shard_states_, [](const auto& state) { return state->vm_recoveries; });
 }
 
 uint64_t ShardedFleet::events_executed() const {
-  uint64_t total = 0;
-  for (int s = 0; s < sharded_.shard_count(); ++s) {
-    total += sharded_.shard(s).loop().events_executed();
-  }
-  return total;
+  return SumOver(std::views::iota(0, sharded_.shard_count()),
+                 [&](int s) { return sharded_.shard(s).loop().events_executed(); });
 }
 
 uint64_t ShardedFleet::waterfills_full() const {
-  uint64_t total = 0;
-  for (int s = 0; s < sharded_.shard_count(); ++s) {
-    total += sharded_.shard(s).flows().waterfills_full();
-  }
-  return total;
+  return SumOver(std::views::iota(0, sharded_.shard_count()),
+                 [&](int s) { return sharded_.shard(s).flows().waterfills_full(); });
 }
 
 uint64_t ShardedFleet::waterfills_component() const {
-  uint64_t total = 0;
-  for (int s = 0; s < sharded_.shard_count(); ++s) {
-    total += sharded_.shard(s).flows().waterfills_component();
-  }
-  return total;
+  return SumOver(std::views::iota(0, sharded_.shard_count()),
+                 [&](int s) { return sharded_.shard(s).flows().waterfills_component(); });
 }
 
 uint64_t ShardedFleet::waterfill_skips() const {
-  uint64_t total = 0;
-  for (int s = 0; s < sharded_.shard_count(); ++s) {
-    total += sharded_.shard(s).flows().waterfill_skips();
-  }
-  return total;
+  return SumOver(std::views::iota(0, sharded_.shard_count()),
+                 [&](int s) { return sharded_.shard(s).flows().waterfill_skips(); });
 }
 
 uint64_t ShardedFleet::ksm_memories_merged() const {
-  uint64_t total = 0;
-  for (const auto& cluster : clusters_) {
-    total += cluster->host->ksm().memories_merged();
-  }
-  return total;
+  return SumOver(clusters_, [](const auto& cluster) { return cluster->host->ksm().memories_merged(); });
 }
 
 uint64_t ShardedFleet::ksm_memories_skipped() const {
-  uint64_t total = 0;
-  for (const auto& cluster : clusters_) {
-    total += cluster->host->ksm().memories_skipped();
-  }
-  return total;
+  return SumOver(clusters_, [](const auto& cluster) { return cluster->host->ksm().memories_skipped(); });
 }
 
 uint64_t ShardedFleet::ksm_pages_sharing() const {
-  uint64_t total = 0;
-  for (const auto& cluster : clusters_) {
-    total += cluster->host->ksm().stats().pages_sharing;
-  }
-  return total;
+  return SumOver(clusters_, [](const auto& cluster) { return cluster->host->ksm().stats().pages_sharing; });
 }
 
 FleetKsmStats ShardedFleet::ReconcileKsm() const {
-  std::vector<std::map<uint64_t, uint64_t>> hosts;
-  hosts.reserve(clusters_.size());
-  for (const auto& cluster : clusters_) {
-    hosts.push_back(cluster->ksm_snapshot);
-  }
-  return FleetKsmIndex::ReconcileHistograms(hosts);
+  return FleetKsmIndex::Reconcile(ksm_snapshots_);
 }
 
 }  // namespace nymix

@@ -99,10 +99,10 @@ struct FleetOptions {
   bool full_recompute = false;
   // KSM scan period; 0 runs the fleet without KSM.
   SimDuration ksm_interval = Seconds(2);
-  // Virtual time at which each host snapshots its KSM content histogram
-  // for the cross-host reconcile (shard-local event, so it is exact and
-  // thread-count-invariant). Mid-run by default: reconciling at the end
-  // would see only wiped memory, since every nym terminates.
+  // Virtual time at which each host copies its KSM-tracked memories for the
+  // cross-host reconcile (a shard-local event: exact, thread-invariant).
+  // Mid-run by default: reconciling at the end would see only wiped
+  // memory, since every nym terminates.
   SimDuration ksm_snapshot_time = Seconds(30);
   // Per-cluster test Tor deployment; small so flow competition stays
   // host-local (the real contention is each host's uplink anyway).
@@ -206,7 +206,7 @@ class ShardedFleet {
   uint64_t ksm_memories_skipped() const;
   uint64_t ksm_pages_sharing() const;
 
-  // Deterministic cross-host KSM reconcile over the per-host histograms
+  // Deterministic cross-host KSM reconcile over the per-host memories
   // snapshotted at ksm_snapshot_time, in host creation order.
   FleetKsmStats ReconcileKsm() const;
 
@@ -229,8 +229,6 @@ class ShardedFleet {
     std::unique_ptr<NymManager> manager;
     std::vector<std::unique_ptr<Website>> sites;
     NymManager::CreateOptions create_options;
-    // Captured at ksm_snapshot_time by a shard-local event.
-    std::map<uint64_t, uint64_t> ksm_snapshot;
   };
 
   // One cross-shard cloud edge: shard s's nyms fetch from the gateway
@@ -307,6 +305,9 @@ class ShardedFleet {
   std::vector<Slot> slots_;
   std::vector<std::unique_ptr<ShardState>> shard_states_;
   std::vector<CloudEdge> cloud_edges_;  // index = client shard
+  // Per host: value copies of its KSM-tracked memories, taken at
+  // ksm_snapshot_time by a shard-local event (so churn may destroy the VMs).
+  std::vector<std::vector<GuestMemory>> ksm_snapshots_;
 };
 
 }  // namespace nymix

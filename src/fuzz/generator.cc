@@ -188,6 +188,17 @@ ScenarioStep RandomStepFor(ScenarioFamily family, EntropySource& entropy) {
   return step;
 }
 
+// Whether some step of a net scenario runs events. The runner turns a
+// channel on a 1-shard plan, and a fault profile with no channel to
+// degrade, into no-ops (src/fuzz/runner.cc); a scenario of only those runs
+// nothing, so its identity checks would compare two empty traces.
+bool NetStepsRunEvents(const Scenario& scenario) {
+  return std::any_of(scenario.steps.begin(), scenario.steps.end(), [&](const ScenarioStep& step) {
+    return step.kind == StepKind::kNetFlow || step.kind == StepKind::kNetLinkFlap ||
+           (step.kind == StepKind::kNetChannel && scenario.topology.shards >= 2);
+  });
+}
+
 }  // namespace
 
 Scenario GenerateScenario(uint64_t seed, const GeneratorOptions& options) {
@@ -225,11 +236,15 @@ Scenario GenerateScenario(uint64_t seed, const GeneratorOptions& options) {
       scenario.family == ScenarioFamily::kHost && stream.Chance(0.35);
 
   int max_steps = std::max(1, options.max_steps);
-  int count = static_cast<int>(1 + stream.Pick(static_cast<size_t>(max_steps)));
-  scenario.steps.reserve(static_cast<size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    scenario.steps.push_back(RandomStepFor(scenario.family, stream));
-  }
+  // Net steps are redrawn until one runs events; every other draw, and so
+  // every other scenario, is what the first pass gives.
+  do {
+    scenario.steps.clear();
+    int count = static_cast<int>(1 + stream.Pick(static_cast<size_t>(max_steps)));
+    for (int i = 0; i < count; ++i) {
+      scenario.steps.push_back(RandomStepFor(scenario.family, stream));
+    }
+  } while (scenario.family == ScenarioFamily::kNet && !NetStepsRunEvents(scenario));
   return scenario;
 }
 

@@ -48,8 +48,11 @@ void GuestMemory::DirtyPages(uint64_t count) {
 }
 
 std::map<uint64_t, uint64_t> GuestMemory::pages_by_content() const {
-  std::vector<std::pair<uint64_t, uint64_t>> totals = ContentTotals({this});
-  return std::map<uint64_t, uint64_t>(totals.begin(), totals.end());
+  std::map<uint64_t, uint64_t> histogram;
+  ContentTotals({this}, [&](uint64_t content, uint64_t pages) {
+    histogram.emplace_hint(histogram.end(), content, pages);
+  });
+  return histogram;
 }
 
 void GuestMemory::Wipe() {
@@ -67,49 +70,66 @@ struct Shape {
   uint64_t cycles = 0;     // whole passes over the blocks...
   uint64_t remainder = 0;  // ...then blocks [0, remainder) once more
   uint64_t seen = 0;       // pages of one memory at earlier positions
+  uint64_t clean = 0;      // memories whose dirtied prefix ends by `seen`
+  std::map<uint64_t, uint64_t>::const_iterator peeling = {};  // first d > seen
 };
 
-// Appends (content, pages of all `shapes`) for every position of the
-// image's content order that some shape maps, in order. A position is one
-// block, held once per whole pass and once more inside the partial pass.
-void AppendImageContents(const BaseImage& image, std::vector<Shape>& shapes,
-                         std::vector<std::pair<uint64_t, uint64_t>>& out) {
+// Calls sink(content, pages of all `shapes`) for every position of the
+// image's content order that some shape maps, in order, and returns how many
+// positions that was. A position is one block, held once per whole pass and
+// once more inside the partial pass.
+template <typename Sink>
+uint64_t WalkImageContents(const BaseImage& image, std::vector<Shape>& shapes, Sink&& sink) {
   const BaseImage::ContentOrder& order = image.content_order();
   uint64_t blocks = image.block_count();
-  std::vector<uint64_t> visit((blocks + 63) / 64, 0);  // one bit per position
+  uint64_t prefix = 0;  // blocks the widest shape maps; the others map fewer
   for (Shape& shape : shapes) {
     shape.cycles = shape.mapped / blocks;
     shape.remainder = shape.mapped % blocks;
-    for (uint64_t block = 0; block < std::min(shape.mapped, blocks); ++block) {
-      visit[order.position_of[block] / 64] |= uint64_t{1} << (order.position_of[block] % 64);
-    }
+    shape.peeling = shape.dirtied.begin();
+    prefix = std::max(prefix, std::min(shape.mapped, blocks));
   }
+  std::vector<uint64_t> visit((blocks + 63) / 64, 0);  // one bit per position
+  for (uint64_t block = 0; block < prefix; ++block) {
+    visit[order.position_of[block] / 64] |= uint64_t{1} << (order.position_of[block] % 64);
+  }
+  uint64_t walked = 0;
   for (size_t word = 0; word < visit.size(); ++word) {
     for (uint64_t bits = visit[word]; bits != 0; bits &= bits - 1) {
       const auto& [content, block] = order.blocks[word * 64 + std::countr_zero(bits)];
       uint64_t total = 0;
       for (Shape& shape : shapes) {
         uint64_t held = shape.cycles + (block < shape.remainder ? 1 : 0);
-        // A memory that dirtied d pages lost the first d in content order.
-        for (const auto& [d, memories] : shape.dirtied) {
-          total += memories * (held - std::min(held, d > shape.seen ? d - shape.seen : 0));
+        // A memory that dirtied d pages lost the first d in content order:
+        // it holds all `held` copies here once d <= seen, seen + held - d
+        // of them while d falls inside this position, and none before.
+        for (; shape.peeling != shape.dirtied.end() && shape.peeling->first <= shape.seen;
+             ++shape.peeling) {
+          shape.clean += shape.peeling->second;
+        }
+        total += shape.clean * held;
+        for (auto it = shape.peeling;
+             it != shape.dirtied.end() && it->first < shape.seen + held; ++it) {
+          total += it->second * (shape.seen + held - it->first);
         }
         shape.seen += held;
       }
-      out.emplace_back(content, total);
+      sink(content, total);
+      ++walked;
     }
   }
+  return walked;
 }
 
 }  // namespace
 
-std::vector<std::pair<uint64_t, uint64_t>> ContentTotals(
-    const std::vector<const GuestMemory*>& memories) {
-  std::vector<std::pair<uint64_t, uint64_t>> held = {{kZeroPageContent, 0}};
+uint64_t ContentTotals(const std::vector<const GuestMemory*>& memories,
+                       const std::function<void(uint64_t, uint64_t)>& sink) {
+  uint64_t zero_pages = 0;
   std::vector<const BaseImage*> images;
   std::vector<std::vector<Shape>> shapes;  // per entry of `images`
   for (const GuestMemory* memory : memories) {
-    held[0].second += memory->zero_pages();
+    zero_pages += memory->zero_pages();
     if (memory->image_pages() == 0) {
       continue;
     }
@@ -126,23 +146,38 @@ std::vector<std::pair<uint64_t, uint64_t>> ContentTotals(
     }
     ++shape->dirtied[memory->dirtied_image_pages()];
   }
-  for (size_t i = 0; i < images.size(); ++i) {
-    AppendImageContents(*images[i], shapes[i], held);
-  }
-  // One image's contents follow the zero page (the smallest id) in order;
-  // several images may hold the same content, so sort. Then sum duplicates.
-  if (images.size() > 1) {
+  // Sums equal contents, which arrive adjacent, and drops zero totals.
+  std::pair<uint64_t, uint64_t> run = {kZeroPageContent, zero_pages};
+  auto fold = [&](uint64_t content, uint64_t pages) {
+    if (content != run.first) {
+      if (run.second > 0) {
+        sink(run.first, run.second);
+      }
+      run = {content, 0};
+    }
+    run.second += pages;
+  };
+  uint64_t walked = 0;
+  if (images.size() == 1) {
+    // One image's contents follow the zero page (the smallest id) in order.
+    walked = WalkImageContents(*images[0], shapes[0], fold);
+  } else {
+    // Several images may hold the same content: collect and sort first.
+    std::vector<std::pair<uint64_t, uint64_t>> held;
+    for (size_t i = 0; i < images.size(); ++i) {
+      walked += WalkImageContents(*images[i], shapes[i], [&](uint64_t content, uint64_t pages) {
+        held.emplace_back(content, pages);
+      });
+    }
     std::sort(held.begin(), held.end());
-  }
-  std::vector<std::pair<uint64_t, uint64_t>> totals;
-  for (const auto& [content, pages] : held) {
-    if (!totals.empty() && totals.back().first == content) {
-      totals.back().second += pages;
-    } else if (pages > 0) {
-      totals.emplace_back(content, pages);
+    for (const auto& [content, pages] : held) {
+      fold(content, pages);
     }
   }
-  return totals;
+  if (run.second > 0) {
+    sink(run.first, run.second);
+  }
+  return walked;
 }
 
 }  // namespace nymix

@@ -16,6 +16,7 @@
 #define SRC_HV_GUEST_MEMORY_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 
 #include "src/unionfs/disk_image.h"
@@ -97,11 +98,12 @@ class GuestMemory {
   uint64_t dirtied_ = 0;
 };
 
-// (content id, pages summed over `memories`) for every content they hold,
-// ascending. Memories of one shape — (image, mapped_image_pages()) — are
-// walked together, along the mapped part of the image's content order.
-std::vector<std::pair<uint64_t, uint64_t>> ContentTotals(
-    const std::vector<const GuestMemory*>& memories);
+// Calls sink(content id, pages summed over `memories`) for every content
+// they hold, ascending, with no zero totals; returns the image content
+// positions walked. Memories of one shape — (image, mapped_image_pages()) —
+// are walked together, along the mapped part of the image's content order.
+uint64_t ContentTotals(const std::vector<const GuestMemory*>& memories,
+                       const std::function<void(uint64_t, uint64_t)>& sink);
 
 }  // namespace nymix
 

@@ -4,6 +4,21 @@
 
 namespace nymix {
 
+KsmStats KsmStats::Of(const std::vector<const GuestMemory*>& memories,
+                      uint64_t* positions_walked) {
+  KsmStats stats;
+  uint64_t walked = ContentTotals(memories, [&](uint64_t, uint64_t pages) {
+    if (pages > 1) {
+      stats.pages_shared += 1;
+      stats.pages_sharing += pages;
+    }
+  });
+  if (positions_walked != nullptr) {
+    *positions_walked += walked;
+  }
+  return stats;
+}
+
 KsmDaemon::KsmDaemon(EventLoop& loop, std::function<std::vector<const GuestMemory*>()> memories)
     : loop_(loop), memories_(std::move(memories)) {}
 
@@ -85,7 +100,7 @@ KsmStats KsmDaemon::ScanNow() {
     }
     // `previous` now holds only the memories that disappeared.
     if (skipped < memories.size() || !previous.empty()) {
-      stats_ = KsmStats::Merge(ContentTotals(memories));
+      stats_ = KsmStats::Of(memories, &positions_walked_);
     }
   }
 
@@ -127,14 +142,6 @@ void KsmDaemon::Stop() {
   running_ = false;
   loop_.Cancel(pending_event_);
   pending_event_ = 0;
-}
-
-std::map<uint64_t, uint64_t> KsmDaemon::ContentHistogram() const {
-  // Built from the live memories, not from the last ScanNow: that result
-  // lags mutations made since, while the fleet reconcile
-  // (src/hv/ksm_fleet.h) must see the same histogram in every scan mode.
-  std::vector<std::pair<uint64_t, uint64_t>> totals = ContentTotals(memories_());
-  return std::map<uint64_t, uint64_t>(totals.begin(), totals.end());
 }
 
 void KsmDaemon::Tick() {

@@ -6,7 +6,8 @@
 //
 // Scans are closed-form: memories fall into a few shapes (image, mapped
 // pages) that differ only in their dirtied prefix (src/hv/guest_memory.h),
-// and a pass totals each content over whole shapes (ContentTotals). The
+// and a pass merges each content's total over whole shapes straight off
+// the walk (KsmStats::Of over ContentTotals), with no histogram. The
 // daemon keeps only each memory's last merged write-generation; a pass in
 // which none moved and no memory vanished reuses the last result. The
 // invariant (docs/performance.md): stats() is bit-identical to a full
@@ -34,19 +35,11 @@ struct KsmStats {
   uint64_t pages_saved() const { return pages_sharing - pages_shared; }
   uint64_t bytes_saved() const { return pages_saved() * kPageSize; }
 
-  // The merge of a (content id, pages) histogram: every content with more
-  // than one page costs one physical page for all of its mappings.
-  template <typename Histogram>
-  static KsmStats Merge(const Histogram& histogram) {
-    KsmStats stats;
-    for (const auto& [content, pages] : histogram) {
-      if (pages > 1) {
-        stats.pages_shared += 1;
-        stats.pages_sharing += pages;
-      }
-    }
-    return stats;
-  }
+  // The merge of ContentTotals(memories), taken straight off the shape
+  // walk: every content with more than one page costs one physical page for
+  // all of its mappings. Adds the positions walked to *positions_walked.
+  static KsmStats Of(const std::vector<const GuestMemory*>& memories,
+                     uint64_t* positions_walked = nullptr);
 };
 
 class KsmDaemon {
@@ -78,16 +71,18 @@ class KsmDaemon {
   void set_full_rescan(bool full);
   bool full_rescan() const { return full_rescan_; }
 
-  // Fleet-wide reconcile input (src/hv/ksm_fleet.h): the live content
-  // histogram (content id → total pages) across every tracked memory,
-  // built from the memories themselves so the result is independent of
-  // scan mode (incremental vs full_rescan) and of when ScanNow last ran.
-  std::map<uint64_t, uint64_t> ContentHistogram() const;
+  // The memories tracked right now. ShardedFleet snapshots them by value
+  // for the cross-host reconcile (src/hv/ksm_fleet.h).
+  std::vector<const GuestMemory*> memories() const { return memories_(); }
 
   // Scan-effort introspection (always counted, metrics attached or not).
   uint64_t passes() const { return passes_; }
   uint64_t memories_merged() const { return memories_merged_; }
   uint64_t memories_skipped() const { return memories_skipped_; }
+  // Image content positions walked by incremental merges: 0 for a pass in
+  // which no generation moved and no memory vanished. Full rescans go
+  // through pages_by_content() and are not counted.
+  uint64_t positions_walked() const { return positions_walked_; }
 
  private:
   void Tick();
@@ -109,6 +104,7 @@ class KsmDaemon {
   uint64_t passes_ = 0;
   uint64_t memories_merged_ = 0;
   uint64_t memories_skipped_ = 0;
+  uint64_t positions_walked_ = 0;
 
   // Cached instruments, refreshed when the loop's observability epoch
   // moves (see EventLoop::observability_epoch()).

@@ -2,18 +2,19 @@
 
 namespace nymix {
 
-FleetKsmStats FleetKsmIndex::ReconcileHistograms(
-    const std::vector<std::map<uint64_t, uint64_t>>& hosts) {
+FleetKsmStats FleetKsmIndex::Reconcile(const std::vector<std::vector<GuestMemory>>& hosts) {
   FleetKsmStats stats;
   stats.hosts = hosts.size();
-  std::map<uint64_t, uint64_t> fleet;
-  for (const std::map<uint64_t, uint64_t>& host : hosts) {
-    stats.local_pages_sharing += KsmStats::Merge(host).pages_sharing;
-    for (const auto& [content, pages] : host) {
-      fleet[content] += pages;
+  std::vector<const GuestMemory*> fleet;
+  for (const std::vector<GuestMemory>& host : hosts) {
+    std::vector<const GuestMemory*> memories;
+    for (const GuestMemory& memory : host) {
+      memories.push_back(&memory);
     }
+    stats.local_pages_sharing += KsmStats::Of(memories).pages_sharing;
+    fleet.insert(fleet.end(), memories.begin(), memories.end());
   }
-  KsmStats merged = KsmStats::Merge(fleet);
+  KsmStats merged = KsmStats::Of(fleet);
   stats.pages_shared = merged.pages_shared;
   stats.pages_sharing = merged.pages_sharing;
   return stats;

@@ -5,13 +5,14 @@
 // real kernel's scope, and in the parallel executor it is also the shard
 // boundary. The fleet index answers the cross-host question (every Nymix
 // box boots the same release image, so image-backed pages duplicate across
-// hosts exactly as they do across VMs): it folds per-host content
-// histograms into one fleet histogram and re-derives shared/sharing totals.
+// hosts exactly as they do across VMs): it merges every host's memories as
+// one pool, by shape (src/hv/guest_memory.h), and re-derives shared/sharing
+// totals. No histogram is built.
 //
-// Determinism: the reconcile is pure — it reads per-host histograms (built
-// from live memories, scan-mode independent) and merges std::maps in the
-// order the hosts are passed. ShardedFleet passes hosts in creation
-// order, so the result is byte-identical across thread counts and
+// Determinism: the reconcile is pure — it reads closed-form memories (value
+// snapshots, scan-mode independent) and its totals are integer sums, so
+// host order cannot change them. ShardedFleet passes hosts in creation
+// order anyway, so the result is byte-identical across thread counts and
 // identical between a sharded run and an unsharded one with the same
 // per-host contents.
 #ifndef SRC_HV_KSM_FLEET_H_
@@ -41,12 +42,10 @@ struct FleetKsmStats {
 
 class FleetKsmIndex {
  public:
-  // Reconciles captured per-host histograms (KsmDaemon::ContentHistogram,
-  // one per host, in host creation order — part of the determinism
-  // contract, though histogram addition commutes anyway). ShardedFleet
-  // feeds it fixed-virtual-time snapshots taken while the nyms are alive.
-  static FleetKsmStats ReconcileHistograms(
-      const std::vector<std::map<uint64_t, uint64_t>>& hosts);
+  // Reconciles per-host memory snapshots, one per host in host creation
+  // order. ShardedFleet feeds it value copies taken at a fixed virtual time
+  // while the nyms are alive; their images must still be alive, untampered.
+  static FleetKsmStats Reconcile(const std::vector<std::vector<GuestMemory>>& hosts);
 };
 
 }  // namespace nymix

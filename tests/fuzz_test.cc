@@ -66,6 +66,26 @@ TEST(FuzzGeneratorTest, MaxStepsIsHonoured) {
   }
 }
 
+// A net scenario whose every step is a no-op (a channel on one shard, a
+// fault profile with no channel) would make its identity checks compare
+// two empty runs. Checked by outcome, not by step kind: each generated net
+// scenario must digest differently from the same scenario with no steps.
+TEST(FuzzGeneratorTest, NetScenariosRunEvents) {
+  GeneratorOptions options;
+  options.family = ScenarioFamily::kNet;
+  for (uint64_t seed = 0; seed < 1000; ++seed) {
+    Scenario scenario = GenerateScenario(seed, options);
+    // One base run each: the identity reruns do not change the digest.
+    scenario.topology.threads = 1;
+    scenario.topology.check_mode_identity = false;
+    Scenario idle = scenario;
+    idle.steps.clear();
+    EXPECT_NE(RunScenario(scenario).digest, RunScenario(idle).digest)
+        << "gen-seed " << seed << ":\n"
+        << ScenarioToText(scenario);
+  }
+}
+
 TEST(FuzzEntropyTest, ForkedStreamsAreStableAndLabelled) {
   EntropySource a(42);
   EntropySource b(42);

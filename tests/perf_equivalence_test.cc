@@ -14,6 +14,7 @@
 #include "gtest/gtest.h"
 #include "src/crypto/merkle.h"
 #include "src/hv/ksm.h"
+#include "src/hv/ksm_fleet.h"
 #include "src/net/simulation.h"
 #include "src/util/prng.h"
 
@@ -21,6 +22,46 @@ namespace nymix {
 namespace {
 
 // ------------------------------------------------------------------- KSM
+
+// A 64-block image in which blocks repeat one of 7 digests (block i holds
+// block i % 7's), built through the checkpoint path with a matching tree.
+std::shared_ptr<BaseImage> DuplicateBlockImage() {
+  constexpr uint64_t kBlocks = 64;
+  auto source = BaseImage::CreateDistribution("dup", 5, kBlocks * kDiskBlockSize);
+  std::vector<Sha256Digest> digests;
+  for (uint64_t i = 0; i < kBlocks; ++i) {
+    digests.push_back(source->ReadBlockDigest(i % 7));
+  }
+  MerkleTree merkle = MerkleTree::Build(digests);
+  auto image = BaseImage::CreateDistributionFromCheckpoint("dup", 5, kBlocks * kDiskBlockSize,
+                                                           std::move(digests), std::move(merkle));
+  NYMIX_CHECK(image.ok());
+  return *image;
+}
+
+// The test-side reference: per-memory pages_by_content() summed in a map.
+std::map<uint64_t, uint64_t> FoldHistograms(const std::vector<const GuestMemory*>& memories) {
+  std::map<uint64_t, uint64_t> summed;
+  for (const GuestMemory* memory : memories) {
+    for (const auto& [content, pages] : memory->pages_by_content()) {
+      summed[content] += pages;
+    }
+  }
+  return summed;
+}
+
+// The kernel's merge of a histogram: a content with n > 1 pages is one
+// shared page with n mappings.
+KsmStats MergeHistogram(const std::map<uint64_t, uint64_t>& histogram) {
+  KsmStats stats;
+  for (const auto& [content, pages] : histogram) {
+    if (pages > 1) {
+      stats.pages_shared += 1;
+      stats.pages_sharing += pages;
+    }
+  }
+  return stats;
+}
 
 class KsmEquivalenceTest : public ::testing::Test {
  protected:
@@ -49,15 +90,14 @@ class KsmEquivalenceTest : public ::testing::Test {
     KsmStats b = reference_.ScanNow();
     ASSERT_EQ(a.pages_shared, b.pages_shared);
     ASSERT_EQ(a.pages_sharing, b.pages_sharing);
-    // The reconcile snapshot merges shapes too; it must equal the sum of
-    // the per-memory histograms.
-    std::map<uint64_t, uint64_t> summed;
-    for (const auto& memory : memories_) {
-      for (const auto& [content, pages] : memory->pages_by_content()) {
-        summed[content] += pages;
-      }
-    }
-    ASSERT_EQ(incremental_.ContentHistogram(), summed);
+    // The shape walk over every memory at once (what the fleet reconcile
+    // runs) must equal the sum of the per-memory histograms.
+    std::map<uint64_t, uint64_t> summed = FoldHistograms(Enumerate());
+    std::vector<std::pair<uint64_t, uint64_t>> totals;
+    ContentTotals(Enumerate(), [&](uint64_t content, uint64_t pages) {
+      totals.emplace_back(content, pages);
+    });
+    ASSERT_EQ(totals, (std::vector<std::pair<uint64_t, uint64_t>>(summed.begin(), summed.end())));
   }
 
   EventLoop loop_;
@@ -179,6 +219,168 @@ TEST_F(KsmEquivalenceTest, TogglingFullRescanRebuildsFromScratch) {
   ExpectScansAgree();
 }
 
+TEST_F(KsmEquivalenceTest, PositionsWalkedCountsExactly) {
+  // The fixture's image has 2048 blocks; a shape walks the positions its
+  // mapped prefix covers, each once, however many memories share it.
+  GuestMemory& a = AddMemory();
+  GuestMemory& b = AddMemory();
+  a.MapImagePages(*image_, 1000);
+  b.MapImagePages(*image_, 1000);
+  AddMemory();  // zero pages only: nothing to walk
+  ExpectScansAgree();
+  EXPECT_EQ(incremental_.positions_walked(), 1000u);
+  ExpectScansAgree();  // no generation moved: the pass walks nothing
+  EXPECT_EQ(incremental_.positions_walked(), 1000u);
+  b.MapImagePages(*image_, 2600);  // 3600 pages wrap all 2048 positions
+  ExpectScansAgree();
+  EXPECT_EQ(incremental_.positions_walked(), 1000u + 2048u);
+  a.DirtyPages(a.total_pages());  // fully dirtied: no shape left for `a`
+  ExpectScansAgree();
+  EXPECT_EQ(incremental_.positions_walked(), 1000u + 2 * 2048u);
+  auto other = BaseImage::CreateDistribution("img", 8, 8 * kMiB);
+  AddMemory().MapImagePages(*other, 100);  // a second image adds its prefix
+  ExpectScansAgree();
+  EXPECT_EQ(incremental_.positions_walked(), 1000u + 3 * 2048u + 100u);
+  memories_.pop_back();  // a vanished memory forces a re-merge
+  ExpectScansAgree();
+  EXPECT_EQ(incremental_.positions_walked(), 1000u + 4 * 2048u + 100u);
+  ExpectScansAgree();
+  EXPECT_EQ(incremental_.positions_walked(), 1000u + 4 * 2048u + 100u);
+  EXPECT_EQ(reference_.positions_walked(), 0u);
+}
+
+TEST_F(KsmEquivalenceTest, MultiImageStormsMatchTheFullRescan) {
+  // Two distinct objects with identical content, a different image and a
+  // duplicate-digest image, under storms of map / dirty / wipe / boot /
+  // destroy. Quiet rounds must walk nothing.
+  auto copy = BaseImage::CreateDistribution("img", 7, 8 * kMiB);
+  auto other = BaseImage::CreateDistribution("img", 8, 2 * kMiB);
+  auto dup = DuplicateBlockImage();
+  const std::vector<const BaseImage*> images = {image_.get(), copy.get(), other.get(), dup.get()};
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    Prng prng(0x5700 + seed);
+    memories_.clear();
+    for (int round = 0; round < 120; ++round) {
+      uint64_t walked = incremental_.positions_walked();
+      bool quiet = false;
+      switch (prng.NextBelow(7)) {
+        case 0:  // a VM boots, mapped or zero-only
+          if (memories_.size() < 10) {
+            GuestMemory& memory = AddMemory(prng.NextInRange(1, 4000) * kPageSize);
+            if (prng.NextBelow(4) != 0) {
+              memory.MapImagePages(*images[prng.NextBelow(images.size())],
+                                   prng.NextInRange(1, 5000));
+            }
+          }
+          break;
+        case 1:  // a VM is destroyed
+          if (!memories_.empty()) {
+            memories_.erase(memories_.begin() +
+                            static_cast<long>(prng.NextBelow(memories_.size())));
+          }
+          break;
+        case 2:  // page-cache growth on the memory's image (or a first one)
+        case 3:
+          if (!memories_.empty()) {
+            GuestMemory& memory = *memories_[prng.NextBelow(memories_.size())];
+            const BaseImage* image = memory.image();
+            memory.MapImagePages(image != nullptr ? *image : *images[prng.NextBelow(images.size())],
+                                 prng.NextInRange(1, 3000));
+          }
+          break;
+        case 4:  // heap growth, sometimes dirtying every page
+          if (!memories_.empty()) {
+            GuestMemory& memory = *memories_[prng.NextBelow(memories_.size())];
+            memory.DirtyPages(prng.NextBelow(3) == 0 ? memory.total_pages()
+                                                     : prng.NextInRange(1, 2000));
+          }
+          break;
+        case 5:
+          if (!memories_.empty()) {
+            memories_[prng.NextBelow(memories_.size())]->Wipe();
+          }
+          break;
+        default:
+          quiet = true;
+          break;
+      }
+      ExpectScansAgree();
+      if (::testing::Test::HasFatalFailure()) {
+        FAIL() << "storm " << seed << " round " << round;
+      }
+      if (quiet) {
+        EXPECT_EQ(incremental_.positions_walked(), walked) << "storm " << seed;
+      }
+    }
+  }
+  EXPECT_GT(incremental_.memories_skipped(), 0u);
+  EXPECT_GT(incremental_.positions_walked(), 0u);
+}
+
+// The fleet reconcile over value snapshots (what ShardedFleet copies at
+// ksm_snapshot_time) against a test-side fold of per-memory histograms.
+TEST(FleetKsmReconcileTest, ValueSnapshotsMatchTheHistogramFold) {
+  // Up to three images: a distribution image, a distinct object with the
+  // same content, and a duplicate-digest image.
+  auto image = BaseImage::CreateDistribution("img", 7, 256 * kDiskBlockSize);
+  auto copy = BaseImage::CreateDistribution("img", 7, 256 * kDiskBlockSize);
+  auto dup = DuplicateBlockImage();
+  const std::vector<const BaseImage*> images = {image.get(), copy.get(), dup.get()};
+  Prng prng(0xF1EE7);
+  uint64_t cross_host_trials = 0;
+  for (int trial = 0; trial < 80; ++trial) {
+    size_t image_count = 1 + prng.NextBelow(3);
+    size_t host_count = 1 + prng.NextBelow(4);
+    std::vector<std::vector<GuestMemory>> snapshots(host_count);
+    std::map<uint64_t, uint64_t> fleet_fold;
+    uint64_t local_sharing = 0;
+    for (std::vector<GuestMemory>& snapshot : snapshots) {
+      std::vector<std::unique_ptr<GuestMemory>> live;
+      std::vector<const GuestMemory*> host;
+      for (size_t m = prng.NextBelow(6); m > 0; --m) {
+        const BaseImage& from = *images[prng.NextBelow(image_count)];
+        // Role sizes make shapes repeat across memories and hosts.
+        uint64_t pages = prng.NextBelow(2) == 0 ? 300 : prng.NextInRange(1, 800);
+        live.push_back(std::make_unique<GuestMemory>(pages * kPageSize));
+        GuestMemory& memory = *live.back();
+        switch (prng.NextBelow(4)) {
+          case 0:  // zero pages only
+            break;
+          case 1:  // fully dirtied
+            memory.MapImagePages(from, pages);
+            memory.DirtyPages(pages);
+            break;
+          default:
+            memory.MapImagePages(from, prng.NextInRange(1, pages));
+            memory.DirtyPages(prng.NextBelow(3) == 0 ? 0 : prng.NextInRange(0, pages));
+            break;
+        }
+        host.push_back(&memory);
+      }
+      std::map<uint64_t, uint64_t> fold = FoldHistograms(host);
+      local_sharing += MergeHistogram(fold).pages_sharing;
+      for (const auto& [content, pages] : fold) {
+        fleet_fold[content] += pages;
+      }
+      // Copy by value, then tear the originals down as churn does.
+      for (const GuestMemory* memory : host) {
+        snapshot.push_back(*memory);
+      }
+      for (auto& memory : live) {
+        memory->Wipe();
+      }
+    }
+    FleetKsmStats stats = FleetKsmIndex::Reconcile(snapshots);
+    KsmStats fleet = MergeHistogram(fleet_fold);
+    ASSERT_EQ(stats.hosts, host_count) << "trial " << trial;
+    ASSERT_EQ(stats.pages_shared, fleet.pages_shared) << "trial " << trial;
+    ASSERT_EQ(stats.pages_sharing, fleet.pages_sharing) << "trial " << trial;
+    ASSERT_EQ(stats.local_pages_sharing, local_sharing) << "trial " << trial;
+    cross_host_trials += stats.cross_host_extra_sharing() > 0 ? 1 : 0;
+  }
+  EXPECT_GT(cross_host_trials, 0u);
+}
+
 TEST(GuestMemoryTest, GenerationBumpsOnEveryMutation) {
   auto image = BaseImage::CreateDistribution("img", 7, 8 * kMiB);
   GuestMemory memory(64 * kMiB);
@@ -246,22 +448,6 @@ class BruteForceMemory {
   uint64_t next_block_ = 0;
   std::map<uint64_t, uint64_t> image_;
 };
-
-// A 64-block image in which blocks repeat one of 7 digests (block i holds
-// block i % 7's), built through the checkpoint path with a matching tree.
-std::shared_ptr<BaseImage> DuplicateBlockImage() {
-  constexpr uint64_t kBlocks = 64;
-  auto source = BaseImage::CreateDistribution("dup", 5, kBlocks * kDiskBlockSize);
-  std::vector<Sha256Digest> digests;
-  for (uint64_t i = 0; i < kBlocks; ++i) {
-    digests.push_back(source->ReadBlockDigest(i % 7));
-  }
-  MerkleTree merkle = MerkleTree::Build(digests);
-  auto image = BaseImage::CreateDistributionFromCheckpoint("dup", 5, kBlocks * kDiskBlockSize,
-                                                           std::move(digests), std::move(merkle));
-  NYMIX_CHECK(image.ok());
-  return *image;
-}
 
 TEST(ClosedFormMemoryTest, MatchesPageByPageReference) {
   const std::vector<std::shared_ptr<BaseImage>> images = {
