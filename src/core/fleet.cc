@@ -1,7 +1,5 @@
 #include "src/core/fleet.h"
 
-#include <ranges>
-
 namespace nymix {
 namespace {
 
@@ -32,16 +30,6 @@ class FnPacketSink : public PacketSink {
 FleetHooks& DefaultHooks() {
   static FleetHooks hooks;
   return hooks;
-}
-
-// Sums get(item) over `items` in order (the post-run aggregates).
-template <typename Items, typename Get>
-uint64_t SumOver(const Items& items, Get get) {
-  uint64_t total = 0;
-  for (const auto& item : items) {
-    total += get(item);
-  }
-  return total;
 }
 
 }  // namespace
@@ -506,15 +494,27 @@ void ShardedFleet::FinishSlot(int slot) {
 }
 
 uint64_t ShardedFleet::visits() const {
-  return SumOver(shard_states_, [](const auto& state) { return state->visits; });
+  uint64_t total = 0;
+  for (const auto& state : shard_states_) {
+    total += state->visits;
+  }
+  return total;
 }
 
 uint64_t ShardedFleet::churns() const {
-  return SumOver(shard_states_, [](const auto& state) { return state->churns; });
+  uint64_t total = 0;
+  for (const auto& state : shard_states_) {
+    total += state->churns;
+  }
+  return total;
 }
 
 uint64_t ShardedFleet::cloud_fetches() const {
-  return SumOver(shard_states_, [](const auto& state) { return state->cloud_fetches; });
+  uint64_t total = 0;
+  for (const auto& state : shard_states_) {
+    total += state->cloud_fetches;
+  }
+  return total;
 }
 
 std::vector<double> ShardedFleet::HostWeights() const {
@@ -529,51 +529,91 @@ std::vector<double> ShardedFleet::HostWeights() const {
 }
 
 uint64_t ShardedFleet::visit_failures() const {
-  return SumOver(shard_states_, [](const auto& state) { return state->visit_failures; });
+  uint64_t total = 0;
+  for (const auto& state : shard_states_) {
+    total += state->visit_failures;
+  }
+  return total;
 }
 
 uint64_t ShardedFleet::create_failures() const {
-  return SumOver(shard_states_, [](const auto& state) { return state->create_failures; });
+  uint64_t total = 0;
+  for (const auto& state : shard_states_) {
+    total += state->create_failures;
+  }
+  return total;
 }
 
 uint64_t ShardedFleet::slots_abandoned() const {
-  return SumOver(shard_states_, [](const auto& state) { return state->slots_abandoned; });
+  uint64_t total = 0;
+  for (const auto& state : shard_states_) {
+    total += state->slots_abandoned;
+  }
+  return total;
 }
 
 uint64_t ShardedFleet::vm_recoveries() const {
-  return SumOver(shard_states_, [](const auto& state) { return state->vm_recoveries; });
+  uint64_t total = 0;
+  for (const auto& state : shard_states_) {
+    total += state->vm_recoveries;
+  }
+  return total;
 }
 
 uint64_t ShardedFleet::events_executed() const {
-  return SumOver(std::views::iota(0, sharded_.shard_count()),
-                 [&](int s) { return sharded_.shard(s).loop().events_executed(); });
+  uint64_t total = 0;
+  for (int s = 0; s < sharded_.shard_count(); ++s) {
+    total += sharded_.shard(s).loop().events_executed();
+  }
+  return total;
 }
 
 uint64_t ShardedFleet::waterfills_full() const {
-  return SumOver(std::views::iota(0, sharded_.shard_count()),
-                 [&](int s) { return sharded_.shard(s).flows().waterfills_full(); });
+  uint64_t total = 0;
+  for (int s = 0; s < sharded_.shard_count(); ++s) {
+    total += sharded_.shard(s).flows().waterfills_full();
+  }
+  return total;
 }
 
 uint64_t ShardedFleet::waterfills_component() const {
-  return SumOver(std::views::iota(0, sharded_.shard_count()),
-                 [&](int s) { return sharded_.shard(s).flows().waterfills_component(); });
+  uint64_t total = 0;
+  for (int s = 0; s < sharded_.shard_count(); ++s) {
+    total += sharded_.shard(s).flows().waterfills_component();
+  }
+  return total;
 }
 
 uint64_t ShardedFleet::waterfill_skips() const {
-  return SumOver(std::views::iota(0, sharded_.shard_count()),
-                 [&](int s) { return sharded_.shard(s).flows().waterfill_skips(); });
+  uint64_t total = 0;
+  for (int s = 0; s < sharded_.shard_count(); ++s) {
+    total += sharded_.shard(s).flows().waterfill_skips();
+  }
+  return total;
 }
 
 uint64_t ShardedFleet::ksm_memories_merged() const {
-  return SumOver(clusters_, [](const auto& cluster) { return cluster->host->ksm().memories_merged(); });
+  uint64_t total = 0;
+  for (const auto& cluster : clusters_) {
+    total += cluster->host->ksm().memories_merged();
+  }
+  return total;
 }
 
 uint64_t ShardedFleet::ksm_memories_skipped() const {
-  return SumOver(clusters_, [](const auto& cluster) { return cluster->host->ksm().memories_skipped(); });
+  uint64_t total = 0;
+  for (const auto& cluster : clusters_) {
+    total += cluster->host->ksm().memories_skipped();
+  }
+  return total;
 }
 
 uint64_t ShardedFleet::ksm_pages_sharing() const {
-  return SumOver(clusters_, [](const auto& cluster) { return cluster->host->ksm().stats().pages_sharing; });
+  uint64_t total = 0;
+  for (const auto& cluster : clusters_) {
+    total += cluster->host->ksm().stats().pages_sharing;
+  }
+  return total;
 }
 
 FleetKsmStats ShardedFleet::ReconcileKsm() const {

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "src/fuzz/entropy.h"
+#include "src/fuzz/runner.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/store/kv_store.h"
@@ -188,17 +189,6 @@ ScenarioStep RandomStepFor(ScenarioFamily family, EntropySource& entropy) {
   return step;
 }
 
-// Whether some step of a net scenario runs events. The runner turns a
-// channel on a 1-shard plan, and a fault profile with no channel to
-// degrade, into no-ops (src/fuzz/runner.cc); a scenario of only those runs
-// nothing, so its identity checks would compare two empty traces.
-bool NetStepsRunEvents(const Scenario& scenario) {
-  return std::any_of(scenario.steps.begin(), scenario.steps.end(), [&](const ScenarioStep& step) {
-    return step.kind == StepKind::kNetFlow || step.kind == StepKind::kNetLinkFlap ||
-           (step.kind == StepKind::kNetChannel && scenario.topology.shards >= 2);
-  });
-}
-
 }  // namespace
 
 Scenario GenerateScenario(uint64_t seed, const GeneratorOptions& options) {
@@ -244,7 +234,7 @@ Scenario GenerateScenario(uint64_t seed, const GeneratorOptions& options) {
     for (int i = 0; i < count; ++i) {
       scenario.steps.push_back(RandomStepFor(scenario.family, stream));
     }
-  } while (scenario.family == ScenarioFamily::kNet && !NetStepsRunEvents(scenario));
+  } while (scenario.family == ScenarioFamily::kNet && !NetScenarioRunsEvents(scenario));
   return scenario;
 }
 

@@ -51,6 +51,27 @@ int Wrap(int64_t value, int count) {
   return static_cast<int>(m < 0 ? m + count : m);
 }
 
+// Whether a net step runs events, given the clamped shard count and the
+// channels earlier steps made: a channel needs two shards and a fault
+// profile needs a channel to degrade; foreign-family steps never run.
+bool NetStepRuns(const ScenarioStep& step, int shards, size_t channels) {
+  switch (step.kind) {
+    case StepKind::kNetFlow:
+    case StepKind::kNetLinkFlap:
+      return true;
+    case StepKind::kNetChannel:
+      return shards >= 2;
+    case StepKind::kNetFaultProfile:
+      return channels > 0;
+    default:
+      return false;
+  }
+}
+
+int NetShards(const Scenario& scenario) {
+  return static_cast<int>(ClampI(scenario.topology.shards, 1, 4));
+}
+
 std::string DigestOf(const std::string& surface) {
   return HexEncode(Sha256::Hash(surface));
 }
@@ -126,7 +147,7 @@ struct NetRunResult {
 
 NetRunResult RunNetOnce(const Scenario& scenario, int threads, bool full_recompute) {
   const ScenarioTopology& t = scenario.topology;
-  int shards = static_cast<int>(ClampI(t.shards, 1, 4));
+  int shards = NetShards(scenario);
   SimTime deadline = Millis(ClampI(t.echo_deadline_ms, 200, 3000));
 
   ShardedSimulation sharded(scenario.seed, ShardPlan{shards, threads});
@@ -153,11 +174,11 @@ NetRunResult RunNetOnce(const Scenario& scenario, int threads, bool full_recompu
   int step_index = 0;
   for (const ScenarioStep& step : scenario.steps) {
     ++step_index;
+    if (!NetStepRuns(step, shards, channels.size())) {
+      continue;  // shrunk to a no-op by the closure rule
+    }
     switch (step.kind) {
       case StepKind::kNetChannel: {
-        if (shards < 2) {
-          break;  // cross-shard channel needs two shards; shrunk to no-op
-        }
         int a = Wrap(step.a, shards);
         int b = (a + 1 + Wrap(step.b, shards - 1)) % shards;
         SimDuration latency = Millis(ClampI(step.c, 1, 50));
@@ -183,9 +204,6 @@ NetRunResult RunNetOnce(const Scenario& scenario, int threads, bool full_recompu
         break;
       }
       case StepKind::kNetFaultProfile: {
-        if (channels.empty()) {
-          break;  // nothing to degrade yet
-        }
         CrossShardChannel* channel = channels[static_cast<size_t>(
             Wrap(step.a, static_cast<int>(channels.size())))];
         LinkFaultProfile profile;
@@ -227,7 +245,7 @@ NetRunResult RunNetOnce(const Scenario& scenario, int threads, bool full_recompu
         break;
       }
       default:
-        break;  // foreign-family step: no-op by the closure rule
+        break;  // NetStepRuns skipped it
     }
   }
 
@@ -1185,6 +1203,13 @@ void RunAdversaryFamily(const Scenario& scenario, OracleSuite& suite, std::strin
 }
 
 }  // namespace
+
+bool NetScenarioRunsEvents(const Scenario& scenario) {
+  // The first step that runs never needs an earlier channel.
+  return std::any_of(scenario.steps.begin(), scenario.steps.end(), [&](const ScenarioStep& step) {
+    return NetStepRuns(step, NetShards(scenario), 0);
+  });
+}
 
 RunReport RunScenario(const Scenario& scenario, const RunnerOptions& options) {
   OracleSuite suite(options.disabled_oracles);

@@ -38,6 +38,12 @@ struct RunnerOptions {
 
 RunReport RunScenario(const Scenario& scenario, const RunnerOptions& options = {});
 
+// Whether some step of a net-family scenario runs events. The runner turns
+// a channel on a 1-shard plan, a fault profile with no channel to degrade
+// and foreign-family steps into no-ops; a scenario of only those runs
+// nothing, so its identity checks would compare two empty traces.
+bool NetScenarioRunsEvents(const Scenario& scenario);
+
 // Golden-trace promotion hook (tests/golden_scenarios.cc): runs the
 // scenario's base threads=1 simulation — no oracles, no rerun — and hands
 // the merged observability to `emit` before teardown, so a clean corpus

@@ -70,8 +70,6 @@ struct Shape {
   uint64_t cycles = 0;     // whole passes over the blocks...
   uint64_t remainder = 0;  // ...then blocks [0, remainder) once more
   uint64_t seen = 0;       // pages of one memory at earlier positions
-  uint64_t clean = 0;      // memories whose dirtied prefix ends by `seen`
-  std::map<uint64_t, uint64_t>::const_iterator peeling = {};  // first d > seen
 };
 
 // Calls sink(content, pages of all `shapes`) for every position of the
@@ -86,7 +84,6 @@ uint64_t WalkImageContents(const BaseImage& image, std::vector<Shape>& shapes, S
   for (Shape& shape : shapes) {
     shape.cycles = shape.mapped / blocks;
     shape.remainder = shape.mapped % blocks;
-    shape.peeling = shape.dirtied.begin();
     prefix = std::max(prefix, std::min(shape.mapped, blocks));
   }
   std::vector<uint64_t> visit((blocks + 63) / 64, 0);  // one bit per position
@@ -100,17 +97,9 @@ uint64_t WalkImageContents(const BaseImage& image, std::vector<Shape>& shapes, S
       uint64_t total = 0;
       for (Shape& shape : shapes) {
         uint64_t held = shape.cycles + (block < shape.remainder ? 1 : 0);
-        // A memory that dirtied d pages lost the first d in content order:
-        // it holds all `held` copies here once d <= seen, seen + held - d
-        // of them while d falls inside this position, and none before.
-        for (; shape.peeling != shape.dirtied.end() && shape.peeling->first <= shape.seen;
-             ++shape.peeling) {
-          shape.clean += shape.peeling->second;
-        }
-        total += shape.clean * held;
-        for (auto it = shape.peeling;
-             it != shape.dirtied.end() && it->first < shape.seen + held; ++it) {
-          total += it->second * (shape.seen + held - it->first);
+        // A memory that dirtied d pages lost the first d in content order.
+        for (const auto& [d, memories] : shape.dirtied) {
+          total += memories * (held - std::min(held, d > shape.seen ? d - shape.seen : 0));
         }
         shape.seen += held;
       }

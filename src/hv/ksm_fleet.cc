@@ -7,12 +7,11 @@ FleetKsmStats FleetKsmIndex::Reconcile(const std::vector<std::vector<GuestMemory
   stats.hosts = hosts.size();
   std::vector<const GuestMemory*> fleet;
   for (const std::vector<GuestMemory>& host : hosts) {
-    std::vector<const GuestMemory*> memories;
+    size_t first = fleet.size();
     for (const GuestMemory& memory : host) {
-      memories.push_back(&memory);
+      fleet.push_back(&memory);
     }
-    stats.local_pages_sharing += KsmStats::Of(memories).pages_sharing;
-    fleet.insert(fleet.end(), memories.begin(), memories.end());
+    stats.local_pages_sharing += KsmStats::Of({fleet.begin() + first, fleet.end()}).pages_sharing;
   }
   KsmStats merged = KsmStats::Of(fleet);
   stats.pages_shared = merged.pages_shared;
