@@ -11,7 +11,7 @@
 //
 // Usage (--help prints it; an unknown flag or bad value exits 2):
 //   scale_fleet [--n=8,64,256,1024] [--mode=both|incremental|full]
-//               [--full-recompute] [--out=BENCH_scale.json] [--seed=13]
+//               [--out=BENCH_scale.json] [--seed=13]
 //               [--threads=1,8] [--shards=8] [--topology=isolated|crossed]
 //               [--warm-start[=CKPT]] [--stats-out=...] [--trace-out=...]
 //               [--trace-format=json|nbt]
@@ -29,8 +29,8 @@
 //
 // --mode=both (default) runs every N in both modes (FleetOptions::
 // full_recompute false/true) and reports the wall-clock speedup;
-// --full-recompute is shorthand for --mode=full (the pre-incremental
-// recompute-the-world reference). Virtual-time results are
+// --mode=full runs only the pre-incremental recompute-the-world
+// reference. Virtual-time results are
 // mode-independent: the incremental paths are exact, so a --trace-out from
 // an incremental run is byte-identical to one from a full run (asserted by
 // tests/determinism_test.cc).
@@ -468,12 +468,6 @@ int main(int argc, char** argv) {
       {{"--n", "--n=N[,N...]", SetPositiveList(args.ns)},
        {"--mode", "--mode=both|incremental|full",
         SetOneOf(args.mode, {"both", "incremental", "full"}), Flag::kChoice},
-       {"--full-recompute", "--full-recompute",
-        [&args](std::string_view) {
-          args.mode = "full";
-          return true;
-        },
-        Flag::kSwitch},
        {"--out", "--out=PATH", SetText(args.out_path)},
        {"--seed", "--seed=SEED", SetUint64(args.seed)},
        {"--threads", "--threads=T[,T...]", SetPositiveList(args.threads_list)},

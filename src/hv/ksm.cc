@@ -1,5 +1,6 @@
 #include "src/hv/ksm.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace nymix {
@@ -7,12 +8,7 @@ namespace nymix {
 KsmStats KsmStats::Of(const std::vector<const GuestMemory*>& memories,
                       uint64_t* positions_walked) {
   KsmStats stats;
-  uint64_t walked = ContentTotals(memories, [&](uint64_t, uint64_t pages) {
-    if (pages > 1) {
-      stats.pages_shared += 1;
-      stats.pages_sharing += pages;
-    }
-  });
+  uint64_t walked = ContentTotals(memories, [&](uint64_t, uint64_t pages) { stats.Add(pages); });
   if (positions_walked != nullptr) {
     *positions_walked += walked;
   }
@@ -64,10 +60,7 @@ KsmStats KsmDaemon::FullRescan(const std::vector<const GuestMemory*>& memories,
   KsmStats stats;
   for (const auto& [content, count] : merged) {
     (void)content;
-    if (count > 1) {
-      stats.pages_shared += 1;
-      stats.pages_sharing += count;
-    }
+    stats.Add(count);
   }
   return stats;
 }
@@ -86,20 +79,27 @@ KsmStats KsmDaemon::ScanNow() {
     // Re-merge only if some memory's generation moved since the last pass
     // (all of them, on the first pass) or a memory disappeared (VM stopped
     // or destroyed). The merge is integer-exact, so it is bit-identical to
-    // a full re-merge.
-    std::map<uint64_t, uint64_t> previous = std::exchange(last_generation_, {});
+    // a full re-merge. The map is updated in place.
     for (const GuestMemory* memory : memories) {
-      last_generation_[memory->id()] = memory->generation();
-      auto last = previous.extract(memory->id());
-      if (!last.empty() && last.mapped() == memory->generation()) {
+      auto [last, fresh] = last_generation_.try_emplace(memory->id(), memory->generation());
+      if (!fresh && std::exchange(last->second, memory->generation()) == memory->generation()) {
         ++skipped;
         continue;
       }
       ++memories_merged_;
       pages_scanned += memory->zero_pages() + memory->image_pages();
     }
-    // `previous` now holds only the memories that disappeared.
-    if (skipped < memories.size() || !previous.empty()) {
+    // The map now holds every current id; any extra entry has vanished.
+    const bool vanished = last_generation_.size() > memories.size();
+    if (vanished) {
+      std::vector<uint64_t> live(memories.size());
+      std::ranges::transform(memories, live.begin(), &GuestMemory::id);
+      std::ranges::sort(live);
+      std::erase_if(last_generation_, [&live](const auto& entry) {
+        return !std::ranges::binary_search(live, entry.first);
+      });
+    }
+    if (skipped < memories.size() || vanished) {
       stats_ = KsmStats::Of(memories, &positions_walked_);
     }
   }

@@ -35,9 +35,17 @@ struct KsmStats {
   uint64_t pages_saved() const { return pages_sharing - pages_shared; }
   uint64_t bytes_saved() const { return pages_saved() * kPageSize; }
 
+  // Merges one content that `pages` guest pages hold: more than one page
+  // costs one physical page for all of its mappings.
+  void Add(uint64_t pages) {
+    if (pages > 1) {
+      pages_shared += 1;
+      pages_sharing += pages;
+    }
+  }
+
   // The merge of ContentTotals(memories), taken straight off the shape
-  // walk: every content with more than one page costs one physical page for
-  // all of its mappings. Adds the positions walked to *positions_walked.
+  // walk (Add per content). Adds the positions walked to *positions_walked.
   static KsmStats Of(const std::vector<const GuestMemory*>& memories,
                      uint64_t* positions_walked = nullptr);
 };

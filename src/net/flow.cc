@@ -106,14 +106,15 @@ FlowId FlowScheduler::StartFlow(const Route& route, uint64_t bytes, double overh
       return;  // cancelled during setup
     }
     if (it->second.doomed) {
-      FailFlow(id, UnavailableError("flow aborted: packet loss on route"),
-               "net.flows_aborted_loss");
-      Reschedule();
-      return;
+      RetireFlow(id, UnavailableError("flow aborted: packet loss on route"),
+                 "net.flows_aborted_loss");
+    } else {
+      Settle();  // may run a callback that cancels this flow
+      if (it = flows_.find(id); it != flows_.end()) {
+        it->second.started = true;
+        AddFlowMembership(id, it->second);
+      }
     }
-    Settle();
-    it->second.started = true;
-    AddFlowMembership(id, it->second);
     Reschedule();
   });
   Reschedule();
@@ -122,26 +123,8 @@ FlowId FlowScheduler::StartFlow(const Route& route, uint64_t bytes, double overh
 
 bool FlowScheduler::CancelFlow(FlowId id) {
   Settle();
-  auto it = flows_.find(id);
-  if (it == flows_.end()) {
+  if (!RetireFlow(id, CancelledError("flow cancelled"), "net.flows_cancelled")) {
     return false;
-  }
-  if (it->second.has_stall_event) {
-    loop_.Cancel(it->second.stall_event);
-  }
-  auto node = flows_.extract(it);
-  if (node.mapped().started) {
-    RemoveFlowMembership(id, node.mapped());
-  }
-  if (MetricsRegistry* meters = loop_.meters()) {
-    meters->GetCounter("net.flows_cancelled")->Increment();
-  }
-  if (TraceRecorder* tracer = loop_.tracer()) {
-    tracer->AddAsyncEnd("net", "flow", id, loop_.now());
-  }
-  NotifyFlowTaps(id, node.mapped(), /*completed=*/false);
-  if (node.mapped().done) {
-    node.mapped().done(CancelledError("flow cancelled"));
   }
   Reschedule();
   return true;
@@ -173,31 +156,45 @@ void FlowScheduler::NotifyFlowTaps(FlowId id, const Flow& flow, bool completed) 
   }
 }
 
-void FlowScheduler::FailFlow(FlowId id, Status status, const char* counter) {
+bool FlowScheduler::RetireFlow(FlowId id, Result<SimTime> outcome, const char* counter) {
   auto it = flows_.find(id);
   if (it == flows_.end()) {
-    return;
-  }
-  if (it->second.has_stall_event) {
-    loop_.Cancel(it->second.stall_event);
+    return false;
   }
   auto node = flows_.extract(it);
-  if (node.mapped().started) {
-    RemoveFlowMembership(id, node.mapped());
+  Flow& flow = node.mapped();
+  if (flow.stall_event) {
+    loop_.Cancel(*flow.stall_event);
   }
-  if (MetricsRegistry* meters = loop_.meters()) {
-    meters->GetCounter("net.flows_failed")->Increment();
+  if (flow.started) {
+    RemoveFlowMembership(id, flow);
+  }
+  const SimTime now = loop_.now();
+  const StatusCode code = outcome.status().code();
+  const bool failed = code != StatusCode::kOk && code != StatusCode::kCancelled;
+  if (outcome.ok()) {
+    if (flows_completed_counter_ != nullptr) {
+      flows_completed_counter_->Increment();
+      flow_duration_histogram_->Record(static_cast<double>(now - flow.created_at));
+    }
+  } else if (MetricsRegistry* meters = loop_.meters()) {
+    if (failed) {
+      meters->GetCounter("net.flows_failed")->Increment();
+    }
     meters->GetCounter(counter)->Increment();
   }
   if (TraceRecorder* tracer = loop_.tracer()) {
-    tracer->AddAsyncEnd("net", "flow", id, loop_.now());
-    tracer->AddInstant("fault", std::string("flow_failed:") + StatusCodeName(status.code()).data(),
-                       "faults", loop_.now());
+    tracer->AddAsyncEnd("net", "flow", id, now);
+    if (failed) {
+      tracer->AddInstant("fault", std::string("flow_failed:") + StatusCodeName(code).data(),
+                         "faults", now);
+    }
   }
-  NotifyFlowTaps(id, node.mapped(), /*completed=*/false);
-  if (node.mapped().done) {
-    node.mapped().done(std::move(status));
+  NotifyFlowTaps(id, flow, /*completed=*/outcome.ok());
+  if (flow.done) {
+    flow.done(std::move(outcome));
   }
+  return true;
 }
 
 void FlowScheduler::AddFlowMembership(FlowId id, const Flow& flow) {
@@ -209,8 +206,8 @@ void FlowScheduler::AddFlowMembership(FlowId id, const Flow& flow) {
     return;
   }
   for (Link* link : flow.links) {
-    LinkState& state = link_states_[link];
-    state.flow_ids.insert(std::upper_bound(state.flow_ids.begin(), state.flow_ids.end(), id), id);
+    std::vector<FlowId>& ids = link_flows_[link];
+    ids.insert(std::upper_bound(ids.begin(), ids.end(), id), id);
     dirty_links_.insert(link);
   }
 }
@@ -223,26 +220,26 @@ void FlowScheduler::RemoveFlowMembership(FlowId id, const Flow& flow) {
     return;
   }
   for (Link* link : flow.links) {
-    auto it = link_states_.find(link);
-    NYMIX_CHECK_MSG(it != link_states_.end(), "flow removed from untracked link");
-    std::vector<FlowId>& ids = it->second.flow_ids;
+    auto it = link_flows_.find(link);
+    NYMIX_CHECK_MSG(it != link_flows_.end(), "flow removed from untracked link");
+    std::vector<FlowId>& ids = it->second;
     auto pos = std::lower_bound(ids.begin(), ids.end(), id);
     NYMIX_CHECK_MSG(pos != ids.end() && *pos == id, "flow missing from link membership");
     ids.erase(pos);
     dirty_links_.insert(link);
     if (ids.empty()) {
-      link_states_.erase(it);
+      link_flows_.erase(it);
     }
   }
 }
 
 void FlowScheduler::Settle() {
-  SimTime now = loop_.now();
+  const SimTime now = loop_.now();
   if (now == last_settle_) {
     return;
   }
   RefreshMeters();
-  double elapsed_us = static_cast<double>(now - last_settle_);
+  const double elapsed_us = static_cast<double>(now - last_settle_);
   last_settle_ = now;
 
   std::vector<FlowId> finished;
@@ -256,25 +253,9 @@ void FlowScheduler::Settle() {
       finished.push_back(id);
     }
   }
+  // An earlier flow's `done` may cancel a later one; RetireFlow skips it.
   for (FlowId id : finished) {
-    auto node = flows_.extract(id);
-    if (node.mapped().started) {
-      RemoveFlowMembership(id, node.mapped());
-    }
-    if (node.mapped().has_stall_event) {
-      loop_.Cancel(node.mapped().stall_event);
-    }
-    if (flows_completed_counter_ != nullptr) {
-      flows_completed_counter_->Increment();
-      flow_duration_histogram_->Record(static_cast<double>(now - node.mapped().created_at));
-    }
-    if (TraceRecorder* tracer = loop_.tracer()) {
-      tracer->AddAsyncEnd("net", "flow", id, now);
-    }
-    NotifyFlowTaps(id, node.mapped(), /*completed=*/true);
-    if (node.mapped().done) {
-      node.mapped().done(now);
-    }
+    RetireFlow(id, now, nullptr);
   }
 }
 
@@ -357,128 +338,115 @@ void FlowScheduler::UpdateStallWatches(const std::vector<FlowId>& flow_ids) {
   // arms its deadline or, if rates recovered, disarms it. Scanning only the
   // just-recomputed flows (ascending id, like a full scan would visit them)
   // is exact: a flow whose rate was not recomputed cannot transition.
-  const SimTime now = loop_.now();
   for (FlowId id : flow_ids) {
     Flow& flow = flows_.at(id);
     if (!flow.started || flow.options.stall_timeout == 0) {
       continue;
     }
     const bool rate_zero = flow.rate_bytes_per_us <= 0 && flow.remaining_bytes > 0;
-    if (rate_zero && !flow.stalled) {
-      flow.stalled = true;
-      flow.stalled_since = now;
-      const FlowId flow_id = id;
-      flow.stall_event = loop_.ScheduleAfter(flow.options.stall_timeout, [this, flow_id] {
-        auto it = flows_.find(flow_id);
-        if (it == flows_.end() || !it->second.stalled) {
-          return;
-        }
-        it->second.has_stall_event = false;
-        // Nothing rescheduled since the stall began; if the route flapped
-        // back up in the meantime, rejoin the competition instead of dying.
-        bool route_up = true;
-        for (const Link* link : it->second.links) {
-          if (link->is_down()) {
-            route_up = false;
-            break;
-          }
-        }
-        Settle();
-        if (route_up) {
-          it->second.stalled = false;
-          Reschedule();
-          return;
-        }
-        FailFlow(flow_id, UnavailableError("flow stalled: route down"), "net.flows_stalled");
-        Reschedule();
-      });
-      flow.has_stall_event = true;
+    if (rate_zero && !flow.stall_event) {
+      flow.stall_event =
+          loop_.ScheduleAfter(flow.options.stall_timeout, [this, id] { StallDeadline(id); });
       if (MetricsRegistry* meters = loop_.meters()) {
         meters->GetCounter("net.flow_stall_watches")->Increment();
       }
-    } else if (!rate_zero && flow.stalled) {
-      flow.stalled = false;
-      if (flow.has_stall_event) {
-        loop_.Cancel(flow.stall_event);
-        flow.has_stall_event = false;
-      }
+    } else if (!rate_zero && flow.stall_event) {
+      loop_.Cancel(*flow.stall_event);
+      flow.stall_event.reset();
     }
   }
 }
 
+void FlowScheduler::StallDeadline(FlowId id) {
+  // Nothing rescheduled since the stall began; if the route flapped back up
+  // in the meantime, rejoin the competition instead of dying. The flow stays
+  // stalled (its fired event id kept) while Settle runs callbacks, so a
+  // refresh they trigger does not arm a second deadline.
+  const std::vector<Link*>& links = flows_.at(id).links;
+  const bool route_up =
+      std::none_of(links.begin(), links.end(), [](const Link* link) { return link->is_down(); });
+  Settle();  // may run a callback that cancels this flow
+  if (auto it = flows_.find(id); it != flows_.end()) {
+    it->second.stall_event.reset();
+    if (!route_up) {
+      RetireFlow(id, UnavailableError("flow stalled: route down"), "net.flows_stalled");
+    }
+  }
+  Reschedule();
+}
+
+std::vector<FlowId> FlowScheduler::DirtyClosure() const {
+  // Closure: any flow on a dirty link, any link of such a flow, and so on.
+  // Links outside the closure saw no membership or capacity change and
+  // share no flow with one that did, so their flows' max-min rates are
+  // unchanged by definition of the waterfill.
+  std::set<Link*, LinkIdLess> comp_links;
+  std::set<FlowId> comp_flows;
+  std::vector<Link*> frontier;
+  for (Link* link : dirty_links_) {
+    // A dirty link with no started flows (flap on an idle link, or the
+    // last flow just left) constrains nobody — skip it.
+    if (link_flows_.contains(link) && comp_links.insert(link).second) {
+      frontier.push_back(link);
+    }
+  }
+  while (!frontier.empty()) {
+    Link* link = frontier.back();
+    frontier.pop_back();
+    for (FlowId id : link_flows_.at(link)) {
+      if (!comp_flows.insert(id).second) {
+        continue;
+      }
+      for (Link* next : flows_.at(id).links) {
+        if (comp_links.insert(next).second) {
+          frontier.push_back(next);
+        }
+      }
+    }
+  }
+  return {comp_flows.begin(), comp_flows.end()};
+}
+
 void FlowScheduler::Reschedule() {
-  if (has_pending_event_) {
-    loop_.Cancel(pending_event_);
-    has_pending_event_ = false;
+  if (pending_event_) {
+    loop_.Cancel(*pending_event_);
+    pending_event_.reset();
   }
   RefreshMeters();
 
-  // Dirty-driven dispatch. Only the rate computation varies by mode; the
-  // completion-event scan below is shared, which is what keeps full and
-  // incremental runs byte-identical in their traces.
+  // Dirty-driven dispatch. The modes differ only in which flows they
+  // re-rate; the refresh tail and the completion-event scan below are
+  // shared, which is what keeps full and incremental runs byte-identical
+  // in their traces.
   const bool dirty = global_dirty_ || !dirty_links_.empty();
-  if (full_recompute_ || global_dirty_ || (dirty && started_empty_route_flows_ > 0)) {
-    std::vector<FlowId> started;
-    started.reserve(flows_.size());
-    for (const auto& [id, flow] : flows_) {
-      if (flow.started) {
-        started.push_back(id);
-      }
-    }
-    Waterfill(started);
-    UpdateStallWatches(started);
-    ++waterfills_full_;
-    if (recomputes_counter_ != nullptr) {
-      recomputes_counter_->Increment();
-    }
-    dirty_links_.clear();
-    global_dirty_ = false;
-  } else if (!dirty) {
+  const bool full = full_recompute_ || global_dirty_ || (dirty && started_empty_route_flows_ > 0);
+  if (!full && !dirty) {
     // Nothing changed since the last waterfill: every rate is still exact.
     ++waterfill_skips_;
     if (skipped_counter_ != nullptr) {
       skipped_counter_->Increment();
     }
   } else {
-    // Re-waterfill only the connected component(s) touching a dirty link.
-    // Closure: any flow on a dirty link, any link of such a flow, and so on.
-    // Links outside the closure saw no membership or capacity change and
-    // share no flow with one that did, so their flows' max-min rates are
-    // unchanged by definition of the waterfill.
-    std::set<Link*, LinkIdLess> comp_links;
-    std::set<FlowId> comp_flows;
-    std::vector<Link*> frontier;
-    for (Link* link : dirty_links_) {
-      // A dirty link with no started flows (flap on an idle link, or the
-      // last flow just left) constrains nobody — skip it.
-      if (link_states_.count(link) != 0 && comp_links.insert(link).second) {
-        frontier.push_back(link);
-      }
-    }
-    while (!frontier.empty()) {
-      Link* link = frontier.back();
-      frontier.pop_back();
-      for (FlowId id : link_states_.at(link).flow_ids) {
-        if (!comp_flows.insert(id).second) {
-          continue;
-        }
-        for (Link* next : flows_.at(id).links) {
-          if (comp_links.insert(next).second) {
-            frontier.push_back(next);
-          }
+    std::vector<FlowId> ids;
+    if (full) {
+      ids.reserve(flows_.size());
+      for (const auto& [id, flow] : flows_) {
+        if (flow.started) {
+          ids.push_back(id);
         }
       }
+    } else {
+      ids = DirtyClosure();
     }
-    std::vector<FlowId> ids(comp_flows.begin(), comp_flows.end());
     Waterfill(ids);
     UpdateStallWatches(ids);
-    ++waterfills_component_;
+    ++(full ? waterfills_full_ : waterfills_component_);
     if (recomputes_counter_ != nullptr) {
       recomputes_counter_->Increment();
     }
     dirty_links_.clear();
+    global_dirty_ = false;
   }
-
   // Schedule the earliest completion. Runs identically in every mode and on
   // the skip path: the scan is over all flows, and the cancel/reschedule of
   // the pending event above/below keeps the event table in lockstep with a
@@ -494,11 +462,10 @@ void FlowScheduler::Reschedule() {
   if (std::isfinite(min_eta_us)) {
     SimDuration delay = static_cast<SimDuration>(min_eta_us) + 1;
     pending_event_ = loop_.ScheduleAfter(delay, [this] {
-      has_pending_event_ = false;
+      pending_event_.reset();
       Settle();
       Reschedule();
     });
-    has_pending_event_ = true;
   }
 }
 

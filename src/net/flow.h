@@ -7,19 +7,26 @@
 // N nyms share the 10 Mbit bottleneck almost exactly N-ways, and the Tor
 // cell overhead appears as a per-flow byte inflation factor.
 //
+// A flow ends in exactly one place, RetireFlow, whatever the outcome:
+// completion (Settle), CancelFlow, a loss abort at the end of setup, or a
+// stall deadline. Rates are refreshed in exactly one place, the tail of
+// Reschedule. A later change to what happens when a flow ends or is
+// re-rated belongs in one of those two.
+//
 // Rescheduling is dirty-driven (docs/performance.md): the scheduler keeps
 // per-link membership (which started flows cross each link) and a set of
 // links whose membership or capacity changed since the last waterfill. A
 // Reschedule with nothing dirty skips the waterfill outright; otherwise it
-// re-waterfills only the connected component(s) reachable from the dirty
-// links. Components cannot affect each other's max-min rates, so the
-// restricted waterfill assigns the same rates the global one would — the
-// one cross-component coupling is flows with empty routes (rated at the
-// global first-round min share), so any dirt while one is live forces a
-// full pass. set_full_recompute(true) restores the pre-incremental
-// recompute-the-world behavior as the reference for equivalence tests and
-// wall-clock benchmarks; both modes produce byte-identical traces because
-// the completion-event scan and scheduling below are shared.
+// re-waterfills either every started flow or only the connected
+// component(s) reachable from the dirty links, then runs the same tail.
+// Components cannot affect each other's max-min rates, so the restricted
+// waterfill assigns the same rates the global one would — the one
+// cross-component coupling is flows with empty routes (rated at the global
+// first-round min share), so any dirt while one is live forces a full pass.
+// set_full_recompute(true) restores the pre-incremental recompute-the-world
+// behavior as the reference for equivalence tests and wall-clock
+// benchmarks; both modes produce byte-identical traces because the stall
+// watches, the completion-event scan and scheduling are shared.
 //
 // Model notes (documented substitutions): transfers begin after one route
 // RTT (connection + request); TCP slow-start and congestion dynamics are
@@ -31,6 +38,12 @@
 // the event count stays flow-level — and a flow whose route goes down stalls
 // at rate 0 and fails after FlowOptions::stall_timeout rather than hanging
 // the event loop forever.
+//
+// Callbacks may re-enter the scheduler: a `done` callback may start or
+// cancel any flow, including one whose completion, setup or stall deadline
+// falls due at the same instant. A flow that a callback already ended is
+// skipped, never ended twice, so every Status-form `done` fires exactly
+// once.
 #ifndef SRC_NET_FLOW_H_
 #define SRC_NET_FLOW_H_
 
@@ -97,7 +110,7 @@ class FlowScheduler {
                    const FlowOptions& options, std::function<void(Result<SimTime>)> done);
 
   // Cancels an in-progress flow (nym terminated mid-download). False if the
-  // flow already completed. A Status-form flow's callback fires kCancelled.
+  // flow already ended. A Status-form flow's callback fires kCancelled.
   bool CancelFlow(FlowId id);
 
   size_t active_flows() const { return flows_.size(); }
@@ -135,23 +148,24 @@ class FlowScheduler {
     FlowOptions options;
     // Loss abort decided at start (seeded): the flow dies when setup ends.
     bool doomed = false;
-    // Stall tracking: set while the flow is started but rated 0.
-    bool stalled = false;
-    SimTime stalled_since = 0;
-    uint64_t stall_event = 0;
-    bool has_stall_event = false;
+    // The stall-deadline event, set exactly while the flow is stalled: from
+    // the refresh that rates a started flow 0 until one that rates it above
+    // 0, or until its deadline has re-checked the route.
+    std::optional<uint64_t> stall_event;
     std::function<void(Result<SimTime>)> done;
   };
 
-  // Which started flows cross a link. flow_ids is kept sorted and may hold
-  // duplicates (a route may cross the same link twice — each crossing claims
-  // a capacity share, matching the waterfill's multiplicity accounting).
-  struct LinkState {
-    std::vector<FlowId> flow_ids;
-  };
-
-  // Advances all running flows to now, completing any that finished.
+  // Advances all running flows to now, retiring any that finished.
   void Settle();
+  // The one way a flow ends. Looks `id` up and returns false if it is
+  // already gone. Otherwise, in this order: cancels its stall deadline,
+  // drops its link membership, counts the outcome, ends its trace span
+  // (plus a `fault` instant for a failure), reports it to the link taps,
+  // and fires `done` last, so a callback sees the scheduler consistent.
+  // `outcome` is the completion time or the failure Status (kCancelled for
+  // CancelFlow); `counter` names the counter a failure or cancellation
+  // bumps (nullptr on completion).
+  bool RetireFlow(FlowId id, Result<SimTime> outcome, const char* counter);
   // Reports a finished flow (completed or not) to the taps of every unique
   // link on its route (src/net/tap.h). Deduplicated and ordered by link id,
   // so observation order is reproducible.
@@ -159,8 +173,11 @@ class FlowScheduler {
   // Refreshes rates (full / component / skip as dirtiness requires) and
   // schedules the next completion event.
   void Reschedule();
-  // Removes the flow and fires its callback with a failure Status.
-  void FailFlow(FlowId id, Status status, const char* counter);
+  // The flows a component-restricted refresh re-rates (ascending): every
+  // started flow connected to a dirty link through shared links.
+  std::vector<FlowId> DirtyClosure() const;
+  // A stalled flow's deadline: resume if the route came back up, else fail.
+  void StallDeadline(FlowId id);
 
   // Membership bookkeeping: called when a flow becomes started / when a
   // started flow is removed. Marks the flow's links dirty.
@@ -181,15 +198,19 @@ class FlowScheduler {
   std::map<FlowId, Flow> flows_;
   FlowId next_id_ = 1;
   SimTime last_settle_ = 0;
-  uint64_t pending_event_ = 0;
-  bool has_pending_event_ = false;
+  // The next completion event, if any flow is running at a positive rate.
+  std::optional<uint64_t> pending_event_;
   std::optional<Prng> loss_prng_;
 
   // --- Incremental fair-share state --------------------------------------
   bool full_recompute_ = false;
-  // Keyed by creation order (LinkIdLess), never address: iteration reaches
-  // the waterfill's float rounding and must be reproducible run to run.
-  std::map<Link*, LinkState, LinkIdLess> link_states_;
+  // Which started flows cross each link: ids kept sorted, possibly with
+  // duplicates (a route may cross the same link twice — each crossing
+  // claims a capacity share, matching the waterfill's multiplicity
+  // accounting). A link with no started flow has no entry. Keyed by
+  // creation order (LinkIdLess), never address: iteration reaches the
+  // waterfill's float rounding and must be reproducible run to run.
+  std::map<Link*, std::vector<FlowId>, LinkIdLess> link_flows_;
   std::set<Link*, LinkIdLess> dirty_links_;
   // Set when an empty-route flow starts: its rate is the global first-round
   // min share, the one value a component-restricted pass cannot see.
@@ -201,7 +222,10 @@ class FlowScheduler {
   uint64_t waterfill_skips_ = 0;
 
   // Cached instruments, refreshed when the loop's observability epoch
-  // moves (see EventLoop::observability_epoch()).
+  // moves (see EventLoop::observability_epoch()). The failure and stall
+  // counters are looked up only when they fire: the registry dumps every
+  // counter that exists, so creating them here would add zero entries to
+  // every stats dump.
   uint64_t meters_epoch_ = 0;
   Counter* recomputes_counter_ = nullptr;
   Counter* skipped_counter_ = nullptr;

@@ -474,6 +474,102 @@ TEST(FlowFaultTest, CancelDeliversCancelledStatus) {
   EXPECT_EQ(outcome.status().code(), StatusCode::kCancelled);
 }
 
+// Re-entrancy: a completion callback cancels another flow that the same
+// scheduler step is about to end or start. Each flow must end exactly once,
+// and the scheduler must not touch the cancelled flow afterwards.
+
+TEST(FlowFaultTest, CompletionMayCancelAFlowFinishingAtTheSameInstant) {
+  Simulation sim(1);
+  Link* a_link = sim.CreateLink("a", 0, 8'000'000);
+  Link* b_link = sim.CreateLink("b", 0, 8'000'000);
+  FlowId b = 0;
+  int a_calls = 0;
+  int b_calls = 0;
+  Result<SimTime> a_outcome = InternalError("pending");
+  Result<SimTime> b_outcome = InternalError("pending");
+  bool cancel_returned = false;
+  // Both flows finish in the same Settle; A is retired first.
+  sim.flows().StartFlow(Route::Through({a_link}), 5'000, 1.0, FlowOptions{},
+                        [&](Result<SimTime> finished) {
+                          ++a_calls;
+                          a_outcome = std::move(finished);
+                          cancel_returned = sim.flows().CancelFlow(b);
+                        });
+  b = sim.flows().StartFlow(Route::Through({b_link}), 5'000, 1.0, FlowOptions{},
+                            [&](Result<SimTime> finished) {
+                              ++b_calls;
+                              b_outcome = std::move(finished);
+                            });
+  sim.loop().RunUntilIdle();
+  EXPECT_EQ(a_calls, 1);
+  EXPECT_EQ(b_calls, 1);
+  EXPECT_TRUE(a_outcome.ok());
+  EXPECT_TRUE(cancel_returned);
+  EXPECT_EQ(b_outcome.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(sim.flows().active_flows(), 0u);
+}
+
+TEST(FlowFaultTest, CompletionMayCancelAFlowWhoseStallDeadlineIsRunning) {
+  Simulation sim(1);
+  Link* l = sim.CreateLink("l", 0, 8'000'000);
+  Link* m = sim.CreateLink("m", 0, 8'000'000);
+  Link* d = sim.CreateLink("d", 0, 8'000'000);
+  FlowOptions stalling;
+  stalling.stall_timeout = Millis(10);
+  int b_calls = 0;
+  Result<SimTime> b_outcome = InternalError("pending");
+  FlowId b = sim.flows().StartFlow(Route::Through({l}), 10'000'000, 1.0, stalling,
+                                   [&](Result<SimTime> finished) {
+                                     ++b_calls;
+                                     b_outcome = std::move(finished);
+                                   });
+  bool a_done = false;
+  sim.flows().StartFlow(Route::Through({m}), 10'099, 1.0, [&](SimTime) {
+    a_done = true;
+    sim.flows().CancelFlow(b);
+  });
+  // L goes down; the 10 B flow on D makes the scheduler notice, which arms
+  // B's deadline for t=10'100 ahead of A's completion at the same instant.
+  // L comes back, so the deadline finds the route up, settles, and A's
+  // callback cancels B while the deadline is still running.
+  sim.loop().ScheduleAt(Micros(100), [&] {
+    l->SetDown(true);
+    sim.flows().StartFlow(Route::Through({d}), 10, 1.0, [](SimTime) {});
+  });
+  sim.loop().ScheduleAt(Micros(200), [&] { l->SetDown(false); });
+  sim.loop().RunUntilIdle();
+  EXPECT_TRUE(a_done);
+  EXPECT_EQ(b_calls, 1);
+  EXPECT_EQ(b_outcome.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(sim.now(), Micros(10'100));
+  EXPECT_EQ(sim.flows().active_flows(), 0u);
+}
+
+TEST(FlowFaultTest, CompletionMayCancelAFlowWhoseSetupIsEnding) {
+  Simulation sim(1);
+  Link* a_link = sim.CreateLink("a", 0, 8'000'000);
+  Link* c_link = sim.CreateLink("c", Micros(500), 8'000'000);
+  FlowId c = 0;
+  int c_calls = 0;
+  Result<SimTime> c_outcome = InternalError("pending");
+  sim.flows().StartFlow(Route::Through({a_link}), 5'000, 1.0,
+                        [&](SimTime) { sim.flows().CancelFlow(c); });
+  // C's setup ends at t=5'001, the instant A completes, and runs first: its
+  // Settle retires A, whose callback cancels C before C can start.
+  sim.loop().ScheduleAt(Micros(4'001), [&] {
+    c = sim.flows().StartFlow(Route::Through({c_link}), 5'000, 1.0, FlowOptions{},
+                              [&](Result<SimTime> finished) {
+                                ++c_calls;
+                                c_outcome = std::move(finished);
+                              });
+  });
+  sim.loop().RunUntilIdle();
+  EXPECT_EQ(c_calls, 1);
+  EXPECT_EQ(c_outcome.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(sim.now(), Micros(5'001));
+  EXPECT_EQ(sim.flows().active_flows(), 0u);
+}
+
 // ------------------------------------------------------------ Tor robustness
 
 // The anon_test harness, reused: one vm uplink behind a host NAT and the

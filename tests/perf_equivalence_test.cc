@@ -539,24 +539,46 @@ TEST(GuestMemoryTest, IdsFollowCreationOrder) {
 
 // ------------------------------------------------------------------ flows
 
+// Counts the flow ends a link tap is told about, per flow id.
+class FlowEndCounter : public LinkTap {
+ public:
+  void OnPacket(const Link&, const PacketMetadata&) override {}
+  void OnFlowEnded(const Link&, const FlowMetadata& meta) override { ++ends[meta.flow_id]; }
+  std::map<uint64_t, int> ends;
+};
+
 // Drives an identical randomized scenario on one simulation: three disjoint
 // link clusters (so components exist to decompose), staggered flows,
-// cancellations and link flaps, all from the sim's own seeded Prng. Returns
-// a log of every observable: sampled rates for every flow id ever issued,
-// and (id, completion time) pairs.
-std::vector<uint64_t> DriveFlowScenario(Simulation& sim, int steps) {
+// cancellations and link flaps, all from the sim's own seeded Prng. One
+// uplink is lossy, so flows crossing it may be loss-aborted (the
+// Simulation seeds its scheduler's loss stream with SeedFaults). Returns a
+// log of every observable: sampled rates for every flow id ever issued,
+// and each flow's status code, end time and tap-reported end count. Every
+// flow must end exactly once; `codes`, if given, receives each issued
+// flow's status code.
+std::vector<uint64_t> DriveFlowScenario(Simulation& sim, int steps,
+                                        std::vector<StatusCode>* codes = nullptr) {
   std::vector<std::vector<Link*>> clusters;
+  FlowEndCounter tap;
   for (int c = 0; c < 3; ++c) {
     std::vector<Link*> links;
     std::string prefix = "c" + std::to_string(c);
     links.push_back(sim.CreateLink(prefix + "-uplink", Millis(5), 8'000'000));
     links.push_back(sim.CreateLink(prefix + "-relay-a", Millis(12), 4'000'000));
     links.push_back(sim.CreateLink(prefix + "-relay-b", Millis(9), 2'000'000));
+    // Every route starts at its cluster's uplink, so the tap hears of
+    // every flow end exactly once.
+    links[0]->AttachTap(&tap);
     clusters.push_back(links);
   }
+  LinkFaultProfile lossy;
+  lossy.loss_probability = 0.05;  // x4 abort multiplier: 20% of its flows
+  clusters[1][0]->SetFaultProfile(lossy, sim.faults().SeedFor("c1-uplink"));
 
   std::vector<uint64_t> log;
   std::vector<FlowId> issued;
+  // Per issued flow, in issue order: every `done` call's status code and time.
+  std::vector<std::vector<std::pair<StatusCode, SimTime>>> endings;
   FlowOptions options;
   options.stall_timeout = Seconds(5);
   for (int i = 0; i < steps; ++i) {
@@ -578,10 +600,13 @@ std::vector<uint64_t> DriveFlowScenario(Simulation& sim, int steps) {
         if (sim.prng().NextBelow(2) == 0) {
           path.push_back(links[1 + sim.prng().NextBelow(2)]);
         }
-        FlowId id = sim.flows().StartFlow(Route::Through(path),
-                                          sim.prng().NextInRange(20'000, 400'000), 1.0,
-                                          options, [](Result<SimTime>) {});
-        issued.push_back(id);
+        const size_t slot = endings.size();
+        endings.emplace_back();
+        issued.push_back(sim.flows().StartFlow(
+            Route::Through(path), sim.prng().NextInRange(20'000, 400'000), 1.0, options,
+            [&sim, &endings, slot](Result<SimTime> finished) {
+              endings[slot].emplace_back(finished.status().code(), sim.now());
+            }));
         break;
       }
     }
@@ -601,6 +626,23 @@ std::vector<uint64_t> DriveFlowScenario(Simulation& sim, int steps) {
   }
   sim.RunUntil([&] { return sim.flows().active_flows() == 0; });
   log.push_back(static_cast<uint64_t>(sim.now()));
+  for (size_t i = 0; i < issued.size(); ++i) {
+    const FlowId id = issued[i];
+    const std::vector<std::pair<StatusCode, SimTime>>& calls = endings[i];
+    EXPECT_EQ(calls.size(), 1u) << "flow " << id << " did not end exactly once";
+    EXPECT_EQ(tap.ends[id], 1) << "flow " << id << " was not reported ended exactly once";
+    for (const auto& [code, when] : calls) {
+      log.push_back(static_cast<uint64_t>(code));
+      log.push_back(static_cast<uint64_t>(when));
+      if (codes != nullptr) {
+        codes->push_back(code);
+      }
+    }
+    log.push_back(static_cast<uint64_t>(tap.ends[id]));
+  }
+  for (auto& links : clusters) {
+    links[0]->AttachTap(nullptr);
+  }
   return log;
 }
 
@@ -609,9 +651,17 @@ TEST(FlowEquivalenceTest, IncrementalMatchesFullRecomputeUnderStress) {
   Simulation full(0xF10E);
   full.flows().set_full_recompute(true);
 
-  std::vector<uint64_t> log_a = DriveFlowScenario(incremental, 120);
+  std::vector<StatusCode> codes;
+  std::vector<uint64_t> log_a = DriveFlowScenario(incremental, 120, &codes);
   std::vector<uint64_t> log_b = DriveFlowScenario(full, 120);
   EXPECT_EQ(log_a, log_b);
+  // Every way a flow ends ran: completion, CancelFlow, and the loss abort.
+  // kUnavailable can only be the abort here: the steps span under 4.7 s,
+  // every link is up again before the drain, so each 5 s stall deadline
+  // finds its route up and the flow resumes.
+  EXPECT_GT(std::count(codes.begin(), codes.end(), StatusCode::kOk), 0);
+  EXPECT_GT(std::count(codes.begin(), codes.end(), StatusCode::kCancelled), 0);
+  EXPECT_GT(std::count(codes.begin(), codes.end(), StatusCode::kUnavailable), 0);
 
   // The incremental scheduler really scheduled incrementally: it skipped
   // clean reschedules, restricted dirty ones to components, and never fell

@@ -108,6 +108,13 @@ class ScaleFleetCliTest(unittest.TestCase):
         self.assertIn('unknown --mode "bogus"', proc.stderr)
         self.assertIn("usage: scale_fleet [--mode=both|incremental|full]", proc.stderr)
 
+    def test_mode_full_is_the_only_reference_switch(self):
+        # --full-recompute duplicated --mode=full and was removed.
+        proc = self.run_bench("--full-recompute")
+        self.assertEqual(proc.returncode, 2)
+        self.assertIn('unknown argument "--full-recompute"', proc.stderr)
+        self.assertNotIn("--full-recompute", self.run_bench("--help").stdout)
+
 
 class NymfuzzMinimizeTest(unittest.TestCase):
     def test_minimize_rewrites_corpus_entry_that_still_replays(self):
