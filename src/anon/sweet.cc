@@ -40,8 +40,13 @@ void SweetTunnel::Fetch(const std::string& host, uint64_t request_bytes, uint64_
   Ipv4Address observed = gateway_ip_;
   attachment_.sim->flows().StartFlow(Route::Through(std::move(links)),
                                      request_bytes + response_bytes, config_.mime_overhead,
-                                     [observed, done = std::move(done)](SimTime t) {
-                                       done(FetchReceipt{t, observed});
+                                     /*stall_timeout=*/0,
+                                     [observed, done = std::move(done)](Result<SimTime> t) {
+                                       if (!t.ok()) {
+                                         done(t.status());
+                                         return;
+                                       }
+                                       done(FetchReceipt{*t, observed});
                                      });
 }
 

@@ -1,5 +1,7 @@
 #include "src/core/fleet.h"
 
+#include <ranges>
+
 namespace nymix {
 namespace {
 
@@ -26,6 +28,17 @@ class FnPacketSink : public PacketSink {
  private:
   std::function<void(const Packet&)> fn_;
 };
+
+// The post-run getters: each sums one count over the shard states, the
+// shard simulations or the clusters.
+template <typename Items, typename Part>
+uint64_t SumOver(const Items& items, Part part) {
+  uint64_t total = 0;
+  for (const auto& item : items) {
+    total += part(item);
+  }
+  return total;
+}
 
 FleetHooks& DefaultHooks() {
   static FleetHooks hooks;
@@ -494,27 +507,15 @@ void ShardedFleet::FinishSlot(int slot) {
 }
 
 uint64_t ShardedFleet::visits() const {
-  uint64_t total = 0;
-  for (const auto& state : shard_states_) {
-    total += state->visits;
-  }
-  return total;
+  return SumOver(shard_states_, [](const auto& state) { return state->visits; });
 }
 
 uint64_t ShardedFleet::churns() const {
-  uint64_t total = 0;
-  for (const auto& state : shard_states_) {
-    total += state->churns;
-  }
-  return total;
+  return SumOver(shard_states_, [](const auto& state) { return state->churns; });
 }
 
 uint64_t ShardedFleet::cloud_fetches() const {
-  uint64_t total = 0;
-  for (const auto& state : shard_states_) {
-    total += state->cloud_fetches;
-  }
-  return total;
+  return SumOver(shard_states_, [](const auto& state) { return state->cloud_fetches; });
 }
 
 std::vector<double> ShardedFleet::HostWeights() const {
@@ -529,91 +530,51 @@ std::vector<double> ShardedFleet::HostWeights() const {
 }
 
 uint64_t ShardedFleet::visit_failures() const {
-  uint64_t total = 0;
-  for (const auto& state : shard_states_) {
-    total += state->visit_failures;
-  }
-  return total;
+  return SumOver(shard_states_, [](const auto& state) { return state->visit_failures; });
 }
 
 uint64_t ShardedFleet::create_failures() const {
-  uint64_t total = 0;
-  for (const auto& state : shard_states_) {
-    total += state->create_failures;
-  }
-  return total;
+  return SumOver(shard_states_, [](const auto& state) { return state->create_failures; });
 }
 
 uint64_t ShardedFleet::slots_abandoned() const {
-  uint64_t total = 0;
-  for (const auto& state : shard_states_) {
-    total += state->slots_abandoned;
-  }
-  return total;
+  return SumOver(shard_states_, [](const auto& state) { return state->slots_abandoned; });
 }
 
 uint64_t ShardedFleet::vm_recoveries() const {
-  uint64_t total = 0;
-  for (const auto& state : shard_states_) {
-    total += state->vm_recoveries;
-  }
-  return total;
+  return SumOver(shard_states_, [](const auto& state) { return state->vm_recoveries; });
 }
 
 uint64_t ShardedFleet::events_executed() const {
-  uint64_t total = 0;
-  for (int s = 0; s < sharded_.shard_count(); ++s) {
-    total += sharded_.shard(s).loop().events_executed();
-  }
-  return total;
+  return SumOver(std::views::iota(0, sharded_.shard_count()),
+                 [this](int s) { return sharded_.shard(s).loop().events_executed(); });
 }
 
 uint64_t ShardedFleet::waterfills_full() const {
-  uint64_t total = 0;
-  for (int s = 0; s < sharded_.shard_count(); ++s) {
-    total += sharded_.shard(s).flows().waterfills_full();
-  }
-  return total;
+  return SumOver(std::views::iota(0, sharded_.shard_count()),
+                 [this](int s) { return sharded_.shard(s).flows().waterfills_full(); });
 }
 
 uint64_t ShardedFleet::waterfills_component() const {
-  uint64_t total = 0;
-  for (int s = 0; s < sharded_.shard_count(); ++s) {
-    total += sharded_.shard(s).flows().waterfills_component();
-  }
-  return total;
+  return SumOver(std::views::iota(0, sharded_.shard_count()),
+                 [this](int s) { return sharded_.shard(s).flows().waterfills_component(); });
 }
 
 uint64_t ShardedFleet::waterfill_skips() const {
-  uint64_t total = 0;
-  for (int s = 0; s < sharded_.shard_count(); ++s) {
-    total += sharded_.shard(s).flows().waterfill_skips();
-  }
-  return total;
+  return SumOver(std::views::iota(0, sharded_.shard_count()),
+                 [this](int s) { return sharded_.shard(s).flows().waterfill_skips(); });
 }
 
 uint64_t ShardedFleet::ksm_memories_merged() const {
-  uint64_t total = 0;
-  for (const auto& cluster : clusters_) {
-    total += cluster->host->ksm().memories_merged();
-  }
-  return total;
+  return SumOver(clusters_, [](const auto& c) { return c->host->ksm().memories_merged(); });
 }
 
 uint64_t ShardedFleet::ksm_memories_skipped() const {
-  uint64_t total = 0;
-  for (const auto& cluster : clusters_) {
-    total += cluster->host->ksm().memories_skipped();
-  }
-  return total;
+  return SumOver(clusters_, [](const auto& c) { return c->host->ksm().memories_skipped(); });
 }
 
 uint64_t ShardedFleet::ksm_pages_sharing() const {
-  uint64_t total = 0;
-  for (const auto& cluster : clusters_) {
-    total += cluster->host->ksm().stats().pages_sharing;
-  }
-  return total;
+  return SumOver(clusters_, [](const auto& c) { return c->host->ksm().stats().pages_sharing; });
 }
 
 FleetKsmStats ShardedFleet::ReconcileKsm() const {

@@ -5,6 +5,15 @@
 #include <limits>
 
 namespace nymix {
+namespace {
+
+// A flow is modeled as aborting when loss defeats retransmission; the
+// per-link abort chance is min(1, loss_probability * this multiplier),
+// independent across route links. 4.0 makes transfers robust below ~10%
+// loss and mostly doomed above ~25%, matching TCP-over-Tor intuition.
+constexpr double kLossAbortMultiplier = 4.0;
+
+}  // namespace
 
 Route Route::Through(std::vector<Link*> links) {
   Route route;
@@ -37,22 +46,10 @@ void FlowScheduler::RefreshMeters() {
 }
 
 FlowId FlowScheduler::StartFlow(const Route& route, uint64_t bytes, double overhead_factor,
-                                std::function<void(SimTime)> done) {
-  // Legacy callers predate the failure model: deliver completions, swallow
-  // failures (their flows cannot fail unless a fault profile is installed
-  // on their links anyway).
-  return StartFlow(route, bytes, overhead_factor, FlowOptions{},
-                   [done = std::move(done)](Result<SimTime> finished) {
-                     if (done && finished.ok()) {
-                       done(*finished);
-                     }
-                   });
-}
-
-FlowId FlowScheduler::StartFlow(const Route& route, uint64_t bytes, double overhead_factor,
-                                const FlowOptions& options,
+                                SimDuration stall_timeout,
                                 std::function<void(Result<SimTime>)> done) {
   NYMIX_CHECK(overhead_factor >= 1.0);
+  NYMIX_CHECK_MSG(!route.links.empty(), "flow route crosses no link");
   Settle();
   RefreshMeters();
   FlowId id = next_id_++;
@@ -67,7 +64,7 @@ FlowId FlowScheduler::StartFlow(const Route& route, uint64_t bytes, double overh
   flow.links = route.links;
   flow.remaining_bytes = static_cast<double>(bytes) * overhead_factor;
   flow.wire_bytes_total = flow.remaining_bytes;
-  flow.options = options;
+  flow.stall_timeout = stall_timeout;
   flow.done = std::move(done);
   flow.started = false;
   flow.created_at = loop_.now();
@@ -76,11 +73,10 @@ FlowId FlowScheduler::StartFlow(const Route& route, uint64_t bytes, double overh
   // the start (loss defeating retransmission partway through). The Prng is
   // only consumed when the route actually has loss, so fault-free runs draw
   // nothing here.
-  if (options.fail_on_loss && loss_prng_.has_value()) {
+  if (loss_prng_.has_value()) {
     double survive = 1.0;
     for (const Link* link : route.links) {
-      const double p_abort =
-          std::min(1.0, link->loss_probability() * options.loss_abort_multiplier);
+      const double p_abort = std::min(1.0, link->loss_probability() * kLossAbortMultiplier);
       survive *= 1.0 - p_abort;
     }
     const double p_fail = 1.0 - survive;
@@ -99,18 +95,19 @@ FlowId FlowScheduler::StartFlow(const Route& route, uint64_t bytes, double overh
   flows_.emplace(id, std::move(flow));
 
   // Connection setup + request takes one round trip; then the flow joins
-  // the fair-share competition (or dies, if the loss roll doomed it).
+  // the fair-share competition (or dies, if the loss roll doomed it). Either
+  // way the running flows are settled to now first, so the completion scan
+  // in Reschedule divides fresh remaining bytes by their rates.
   loop_.ScheduleAfter(2 * route.one_way_latency, [this, id] {
-    auto it = flows_.find(id);
-    if (it == flows_.end()) {
+    if (!flows_.contains(id)) {
       return;  // cancelled during setup
     }
-    if (it->second.doomed) {
-      RetireFlow(id, UnavailableError("flow aborted: packet loss on route"),
-                 "net.flows_aborted_loss");
-    } else {
-      Settle();  // may run a callback that cancels this flow
-      if (it = flows_.find(id); it != flows_.end()) {
+    Settle();  // may run a callback that cancels this flow
+    if (auto it = flows_.find(id); it != flows_.end()) {
+      if (it->second.doomed) {
+        RetireFlow(id, UnavailableError("flow aborted: packet loss on route"),
+                   "net.flows_aborted_loss");
+      } else {
         it->second.started = true;
         AddFlowMembership(id, it->second);
       }
@@ -198,13 +195,6 @@ bool FlowScheduler::RetireFlow(FlowId id, Result<SimTime> outcome, const char* c
 }
 
 void FlowScheduler::AddFlowMembership(FlowId id, const Flow& flow) {
-  if (flow.links.empty()) {
-    // Empty-route flows are rated at the global first-round min share — a
-    // value no component-restricted pass can see — so force a full pass.
-    ++started_empty_route_flows_;
-    global_dirty_ = true;
-    return;
-  }
   for (Link* link : flow.links) {
     std::vector<FlowId>& ids = link_flows_[link];
     ids.insert(std::upper_bound(ids.begin(), ids.end(), id), id);
@@ -213,12 +203,6 @@ void FlowScheduler::AddFlowMembership(FlowId id, const Flow& flow) {
 }
 
 void FlowScheduler::RemoveFlowMembership(FlowId id, const Flow& flow) {
-  if (flow.links.empty()) {
-    // Removal changes nobody else's rate (empty routes consume no capacity),
-    // so no recompute is forced.
-    --started_empty_route_flows_;
-    return;
-  }
   for (Link* link : flow.links) {
     auto it = link_flows_.find(link);
     NYMIX_CHECK_MSG(it != link_flows_.end(), "flow removed from untracked link");
@@ -283,20 +267,13 @@ void FlowScheduler::Waterfill(const std::vector<FlowId>& flow_ids) {
   }
 
   while (!unfixed.empty()) {
-    // Find the most contended link's per-flow share.
+    // Find the most contended link's per-flow share. Every unfixed flow
+    // crosses a link with an unfixed count, so the share is finite.
     double min_share = std::numeric_limits<double>::infinity();
     for (const auto& [link, count] : unfixed_count) {
       if (count > 0) {
         min_share = std::min(min_share, capacity[link] / count);
       }
-    }
-    if (!std::isfinite(min_share)) {
-      // Flows with empty routes (loopback): unconstrained, finish "instantly"
-      // at a very high nominal rate.
-      for (Flow* flow : unfixed) {
-        flow->rate_bytes_per_us = 1e9;
-      }
-      break;
     }
     // Fix every flow bottlenecked at that share. A bottlenecked flow is
     // fixed at its OWN tightest link's share rather than at min_share:
@@ -313,12 +290,7 @@ void FlowScheduler::Waterfill(const std::vector<FlowId>& flow_ids) {
       for (Link* link : flow->links) {
         own_share = std::min(own_share, capacity[link] / unfixed_count[link]);
       }
-      if (flow->links.empty()) {
-        // Empty route mixed into a constrained set: matched to the round
-        // minimum. Live empty-route flows force a full waterfill in both
-        // modes (see Reschedule), so this coupling is mode-invariant.
-        flow->rate_bytes_per_us = min_share;
-      } else if (own_share <= min_share + 1e-12) {
+      if (own_share <= min_share + 1e-12) {
         flow->rate_bytes_per_us = own_share;
         for (Link* link : flow->links) {
           capacity[link] -= own_share;
@@ -340,13 +312,13 @@ void FlowScheduler::UpdateStallWatches(const std::vector<FlowId>& flow_ids) {
   // is exact: a flow whose rate was not recomputed cannot transition.
   for (FlowId id : flow_ids) {
     Flow& flow = flows_.at(id);
-    if (!flow.started || flow.options.stall_timeout == 0) {
+    if (!flow.started || flow.stall_timeout == 0) {
       continue;
     }
     const bool rate_zero = flow.rate_bytes_per_us <= 0 && flow.remaining_bytes > 0;
     if (rate_zero && !flow.stall_event) {
       flow.stall_event =
-          loop_.ScheduleAfter(flow.options.stall_timeout, [this, id] { StallDeadline(id); });
+          loop_.ScheduleAfter(flow.stall_timeout, [this, id] { StallDeadline(id); });
       if (MetricsRegistry* meters = loop_.meters()) {
         meters->GetCounter("net.flow_stall_watches")->Increment();
       }
@@ -418,9 +390,7 @@ void FlowScheduler::Reschedule() {
   // re-rate; the refresh tail and the completion-event scan below are
   // shared, which is what keeps full and incremental runs byte-identical
   // in their traces.
-  const bool dirty = global_dirty_ || !dirty_links_.empty();
-  const bool full = full_recompute_ || global_dirty_ || (dirty && started_empty_route_flows_ > 0);
-  if (!full && !dirty) {
+  if (!full_recompute_ && dirty_links_.empty()) {
     // Nothing changed since the last waterfill: every rate is still exact.
     ++waterfill_skips_;
     if (skipped_counter_ != nullptr) {
@@ -428,7 +398,7 @@ void FlowScheduler::Reschedule() {
     }
   } else {
     std::vector<FlowId> ids;
-    if (full) {
+    if (full_recompute_) {
       ids.reserve(flows_.size());
       for (const auto& [id, flow] : flows_) {
         if (flow.started) {
@@ -440,12 +410,11 @@ void FlowScheduler::Reschedule() {
     }
     Waterfill(ids);
     UpdateStallWatches(ids);
-    ++(full ? waterfills_full_ : waterfills_component_);
+    ++(full_recompute_ ? waterfills_full_ : waterfills_component_);
     if (recomputes_counter_ != nullptr) {
       recomputes_counter_->Increment();
     }
     dirty_links_.clear();
-    global_dirty_ = false;
   }
   // Schedule the earliest completion. Runs identically in every mode and on
   // the skip path: the scan is over all flows, and the cancel/reschedule of

@@ -20,9 +20,8 @@
 // re-waterfills either every started flow or only the connected
 // component(s) reachable from the dirty links, then runs the same tail.
 // Components cannot affect each other's max-min rates, so the restricted
-// waterfill assigns the same rates the global one would — the one
-// cross-component coupling is flows with empty routes (rated at the global
-// first-round min share), so any dirt while one is live forces a full pass.
+// waterfill assigns the same rates the global one would. That holds because
+// every flow crosses at least one link: StartFlow rejects an empty route.
 // set_full_recompute(true) restores the pre-incremental recompute-the-world
 // behavior as the reference for equivalence tests and wall-clock
 // benchmarks; both modes produce byte-identical traces because the stall
@@ -36,14 +35,13 @@
 // Failure model: a flow crossing lossy links (LinkFaultProfile) may abort
 // with a Status instead of completing — the seeded roll happens at start so
 // the event count stays flow-level — and a flow whose route goes down stalls
-// at rate 0 and fails after FlowOptions::stall_timeout rather than hanging
-// the event loop forever.
+// at rate 0 and fails after its stall_timeout rather than hanging the event
+// loop forever.
 //
 // Callbacks may re-enter the scheduler: a `done` callback may start or
 // cancel any flow, including one whose completion, setup or stall deadline
 // falls due at the same instant. A flow that a callback already ended is
-// skipped, never ended twice, so every Status-form `done` fires exactly
-// once.
+// skipped, never ended twice, so every `done` fires exactly once.
 #ifndef SRC_NET_FLOW_H_
 #define SRC_NET_FLOW_H_
 
@@ -71,22 +69,6 @@ struct Route {
 
 using FlowId = uint64_t;
 
-// Failure-detection knobs for a flow. Defaults preserve the failure-free
-// pre-fault behavior: no stall deadline, and loss aborts only fire on
-// routes whose links actually carry a fault profile.
-struct FlowOptions {
-  // Fail with kUnavailable if the flow spends this long at rate 0 while
-  // started (all paths down). 0 = never (legacy behavior: hang).
-  SimDuration stall_timeout = 0;
-  // Whether lossy links may abort this flow.
-  bool fail_on_loss = true;
-  // A flow is modeled as aborting when loss defeats retransmission; the
-  // per-link abort chance is min(1, loss_probability * this multiplier),
-  // independent across route links. 4.0 makes transfers robust below ~10%
-  // loss and mostly doomed above ~25%, matching TCP-over-Tor intuition.
-  double loss_abort_multiplier = 4.0;
-};
-
 class FlowScheduler {
  public:
   explicit FlowScheduler(EventLoop& loop) : loop_(loop) {}
@@ -96,21 +78,17 @@ class FlowScheduler {
   // completion as before.
   void SeedFaults(uint64_t seed) { loss_prng_.emplace(seed); }
 
-  // Transfers `bytes * overhead_factor` wire bytes along `route`; calls
-  // `done` with the completion time. `overhead_factor` >= 1 models protocol
-  // framing (Tor cells ~1.12, Dissent DC-net much higher). Legacy form:
-  // failures (loss abort, cancellation) are swallowed — `done` simply never
-  // fires — so callers that care about faults must use the Status form.
-  FlowId StartFlow(const Route& route, uint64_t bytes, double overhead_factor,
-                   std::function<void(SimTime)> done);
-
-  // Status form: `done` fires exactly once — with the completion time on
+  // Transfers `bytes * overhead_factor` wire bytes along `route`, which
+  // must cross at least one link. `overhead_factor` >= 1 models protocol
+  // framing (Tor cells ~1.12, Dissent DC-net much higher). A started flow
+  // that spends `stall_timeout` at rate 0 (all paths down) fails; 0 means
+  // no deadline. `done` fires exactly once: with the completion time on
   // success, or kUnavailable (loss abort, stall) / kCancelled (CancelFlow).
   FlowId StartFlow(const Route& route, uint64_t bytes, double overhead_factor,
-                   const FlowOptions& options, std::function<void(Result<SimTime>)> done);
+                   SimDuration stall_timeout, std::function<void(Result<SimTime>)> done);
 
   // Cancels an in-progress flow (nym terminated mid-download). False if the
-  // flow already ended. A Status-form flow's callback fires kCancelled.
+  // flow already ended. The flow's callback fires kCancelled.
   bool CancelFlow(FlowId id);
 
   size_t active_flows() const { return flows_.size(); }
@@ -145,7 +123,7 @@ class FlowScheduler {
     double rate_bytes_per_us = 0;
     bool started = false;  // becomes true after the setup RTT
     SimTime created_at = 0;
-    FlowOptions options;
+    SimDuration stall_timeout = 0;  // 0 = no deadline
     // Loss abort decided at start (seeded): the flow dies when setup ends.
     bool doomed = false;
     // The stall-deadline event, set exactly while the flow is stalled: from
@@ -212,10 +190,6 @@ class FlowScheduler {
   // waterfill's float rounding and must be reproducible run to run.
   std::map<Link*, std::vector<FlowId>, LinkIdLess> link_flows_;
   std::set<Link*, LinkIdLess> dirty_links_;
-  // Set when an empty-route flow starts: its rate is the global first-round
-  // min share, the one value a component-restricted pass cannot see.
-  bool global_dirty_ = false;
-  int started_empty_route_flows_ = 0;
 
   uint64_t waterfills_full_ = 0;
   uint64_t waterfills_component_ = 0;

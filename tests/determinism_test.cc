@@ -27,10 +27,15 @@ namespace {
 // driven sizes and routes, and trace spans. Wall-time self-profiling is
 // disabled so the exported JSON contains virtual-time content only.
 //
+// With `faults`, the same flows run through lossy links, a flapping relay,
+// probabilistic injector rolls, and stall deadlines. Every fault decision
+// must come from the seeded streams, so two same-seed runs emit
+// byte-identical traces — including the fault/retry instants.
+//
 // `full_recompute` selects the FlowScheduler mode: the incremental
 // dirty-driven rescheduler must emit the same trace bytes as the
 // recompute-the-world reference (docs/performance.md).
-std::string RunScenario(uint64_t seed, bool full_recompute = false) {
+std::string RunScenario(uint64_t seed, bool faults = false, bool full_recompute = false) {
   Simulation sim(seed);
   sim.flows().set_full_recompute(full_recompute);
   Observability obs;
@@ -42,67 +47,22 @@ std::string RunScenario(uint64_t seed, bool full_recompute = false) {
   Link* relay_a = sim.CreateLink("relay-a", Millis(12), 4'000'000);
   Link* relay_b = sim.CreateLink("relay-b", Millis(9), 2'000'000);
 
-  int completed = 0;
-  int started = 0;
-  for (int i = 0; i < 24; ++i) {
-    uint64_t bytes = sim.prng().NextInRange(20'000, 400'000);
-    std::vector<Link*> path;
-    switch (sim.prng().NextBelow(3)) {
-      case 0:
-        path = {uplink};
-        break;
-      case 1:
-        path = {uplink, relay_a};
-        break;
-      default:
-        path = {uplink, relay_b};
-        break;
-    }
-    ++started;
-    sim.flows().StartFlow(Route::Through(path), bytes, 1.0,
-                          [&completed](SimTime) { ++completed; });
-    // Stagger the starts so flows overlap and bandwidth gets re-divided
-    // across changing sets of contenders (the order-sensitive code path).
-    sim.RunFor(Millis(sim.prng().NextBelow(30)));
+  SimDuration stall_timeout = 0;
+  if (faults) {
+    LinkFaultProfile lossy;
+    lossy.loss_probability = 0.04;
+    lossy.spike_probability = 0.2;
+    lossy.spike_latency = Millis(15);
+    relay_a->SetFaultProfile(lossy, sim.faults().SeedFor("relay-a"));
+    sim.faults().ConfigureProbability("chaos.extra-load", 0.25);
+    // Scheduled outage: relay-b flaps down and back up mid-experiment.
+    sim.faults().At(Millis(600), "relay-b-down", [relay_b] { relay_b->SetDown(true); });
+    sim.faults().At(Millis(1400), "relay-b-up", [relay_b] { relay_b->SetDown(false); });
+    stall_timeout = Seconds(3);
   }
-
-  {
-    TraceSpan span(&obs.trace, sim.loop().clock(), "test", "drain", "main");
-    sim.RunUntil([&] { return completed == started; });
-  }
-  return obs.trace.ToChromeJson();
-}
-
-// The fault-injection variant: lossy links, a flapping relay, probabilistic
-// injector rolls, and status-form flows with stall deadlines. Every fault
-// decision must come from the seeded streams, so two same-seed runs emit
-// byte-identical traces — including the fault/retry instants.
-std::string RunFaultScenario(uint64_t seed, bool full_recompute = false) {
-  Simulation sim(seed);
-  sim.flows().set_full_recompute(full_recompute);
-  Observability obs;
-  obs.trace.set_enabled(true);
-  obs.trace.set_record_wall_time(false);
-  sim.loop().set_observability(&obs);
-
-  Link* uplink = sim.CreateLink("uplink", Millis(5), 8'000'000);
-  Link* relay_a = sim.CreateLink("relay-a", Millis(12), 4'000'000);
-  Link* relay_b = sim.CreateLink("relay-b", Millis(9), 2'000'000);
-
-  LinkFaultProfile lossy;
-  lossy.loss_probability = 0.04;
-  lossy.spike_probability = 0.2;
-  lossy.spike_latency = Millis(15);
-  relay_a->SetFaultProfile(lossy, sim.faults().SeedFor("relay-a"));
-  sim.faults().ConfigureProbability("chaos.extra-load", 0.25);
-  // Scheduled outage: relay-b flaps down and back up mid-experiment.
-  sim.faults().At(Millis(600), "relay-b-down", [relay_b] { relay_b->SetDown(true); });
-  sim.faults().At(Millis(1400), "relay-b-up", [relay_b] { relay_b->SetDown(false); });
 
   int completed = 0;
   int started = 0;
-  FlowOptions options;
-  options.stall_timeout = Seconds(3);
   for (int i = 0; i < 24; ++i) {
     uint64_t bytes = sim.prng().NextInRange(20'000, 400'000);
     std::vector<Link*> path;
@@ -118,12 +78,14 @@ std::string RunFaultScenario(uint64_t seed, bool full_recompute = false) {
         break;
     }
     // Injector-driven extra load: some iterations double up.
-    const int copies = sim.faults().Roll("chaos.extra-load") ? 2 : 1;
+    const int copies = faults && sim.faults().Roll("chaos.extra-load") ? 2 : 1;
     for (int c = 0; c < copies; ++c) {
       ++started;
-      sim.flows().StartFlow(Route::Through(path), bytes, 1.0, options,
+      sim.flows().StartFlow(Route::Through(path), bytes, 1.0, stall_timeout,
                             [&completed](Result<SimTime>) { ++completed; });
     }
+    // Stagger the starts so flows overlap and bandwidth gets re-divided
+    // across changing sets of contenders (the order-sensitive code path).
     sim.RunFor(Millis(sim.prng().NextBelow(30)));
   }
 
@@ -289,10 +251,10 @@ TEST(DeterminismTest, DisablingWallTimeStripsWallArgs) {
 }
 
 TEST(DeterminismTest, FaultScenarioSameSeedIsByteIdentical) {
-  const std::string first = RunFaultScenario(0xFA17);
+  const std::string first = RunScenario(0xFA17, /*faults=*/true);
   auto pad = std::make_unique<std::array<char, 8192>>();
   pad->fill('y');
-  const std::string second = RunFaultScenario(0xFA17);
+  const std::string second = RunScenario(0xFA17, /*faults=*/true);
   ASSERT_FALSE(first.empty());
   // The scenario genuinely exercises the fault paths: downed links and
   // injector triggers leave their instants in the trace.
@@ -302,7 +264,7 @@ TEST(DeterminismTest, FaultScenarioSameSeedIsByteIdentical) {
 }
 
 TEST(DeterminismTest, FaultScenarioDifferentSeedsDiverge) {
-  EXPECT_NE(RunFaultScenario(21), RunFaultScenario(22));
+  EXPECT_NE(RunScenario(21, /*faults=*/true), RunScenario(22, /*faults=*/true));
 }
 
 // The incremental schedulers' equivalence contract, stated at the trace
@@ -311,8 +273,8 @@ TEST(DeterminismTest, FaultScenarioDifferentSeedsDiverge) {
 // instant and every pending-event count along the way.
 TEST(DeterminismTest, IncrementalAndFullRecomputeTracesAreByteIdentical) {
   for (uint64_t seed : {3ull, 0xA11CEull, 0xBEEFull}) {
-    const std::string incremental = RunScenario(seed, /*full_recompute=*/false);
-    const std::string full = RunScenario(seed, /*full_recompute=*/true);
+    const std::string incremental = RunScenario(seed, /*faults=*/false, /*full_recompute=*/false);
+    const std::string full = RunScenario(seed, /*faults=*/false, /*full_recompute=*/true);
     ASSERT_FALSE(incremental.empty());
     EXPECT_EQ(incremental, full) << "seed " << seed;
   }
@@ -322,8 +284,8 @@ TEST(DeterminismTest, FaultScenarioModesAreByteIdentical) {
   // Link flaps and stall deadlines are exactly the paths where a
   // dirty-driven rescheduler could drift from the reference.
   for (uint64_t seed : {0xFA17ull, 99ull}) {
-    const std::string incremental = RunFaultScenario(seed, /*full_recompute=*/false);
-    const std::string full = RunFaultScenario(seed, /*full_recompute=*/true);
+    const std::string incremental = RunScenario(seed, /*faults=*/true, /*full_recompute=*/false);
+    const std::string full = RunScenario(seed, /*faults=*/true, /*full_recompute=*/true);
     ASSERT_FALSE(incremental.empty());
     EXPECT_EQ(incremental, full) << "seed " << seed;
   }

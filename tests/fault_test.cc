@@ -401,11 +401,9 @@ TEST(FlowFaultTest, StalledFlowFailsWithStatusInsteadOfHanging) {
   Simulation sim(1);
   Link* link = sim.CreateLink("path", Millis(5), 1'000'000);
   link->SetDown(true);
-  FlowOptions options;
-  options.stall_timeout = Seconds(2);
   Result<SimTime> outcome = InternalError("pending");
   bool done = false;
-  sim.flows().StartFlow(Route::Through({link}), 500'000, 1.0, options,
+  sim.flows().StartFlow(Route::Through({link}), 500'000, 1.0, /*stall_timeout=*/Seconds(2),
                         [&](Result<SimTime> finished) {
                           outcome = std::move(finished);
                           done = true;
@@ -421,10 +419,8 @@ TEST(FlowFaultTest, StalledFlowRecoversWhenRouteComesBack) {
   Simulation sim(1);
   Link* link = sim.CreateLink("path", Millis(5), 8'000'000);
   link->SetDown(true);
-  FlowOptions options;
-  options.stall_timeout = Seconds(5);
   Result<SimTime> outcome = UnavailableError("pending");
-  sim.flows().StartFlow(Route::Through({link}), 100'000, 1.0, options,
+  sim.flows().StartFlow(Route::Through({link}), 100'000, 1.0, /*stall_timeout=*/Seconds(5),
                         [&](Result<SimTime> finished) { outcome = std::move(finished); });
   // The route flaps back up before the stall deadline; the deadline event
   // notices and the flow rejoins the competition instead of dying.
@@ -442,7 +438,7 @@ TEST(FlowFaultTest, LossDoomsFlowsDeterministically) {
   link->SetFaultProfile(profile, sim.faults().SeedFor("lossy"));
   Result<SimTime> outcome = InternalError("pending");
   bool done = false;
-  sim.flows().StartFlow(Route::Through({link}), 1'000'000, 1.0, FlowOptions{},
+  sim.flows().StartFlow(Route::Through({link}), 1'000'000, 1.0, 0,
                         [&](Result<SimTime> finished) {
                           outcome = std::move(finished);
                           done = true;
@@ -450,22 +446,54 @@ TEST(FlowFaultTest, LossDoomsFlowsDeterministically) {
   sim.loop().RunUntilIdle();
   ASSERT_TRUE(done);
   EXPECT_EQ(outcome.status().code(), StatusCode::kUnavailable);
-
-  // The legacy callback form swallows the failure but must not hang the
-  // loop: the flow dies at the end of its setup RTT.
-  bool legacy_fired = false;
-  sim.flows().StartFlow(Route::Through({link}), 1'000'000, 1.0,
-                        [&](SimTime) { legacy_fired = true; });
-  sim.loop().RunUntilIdle();
-  EXPECT_FALSE(legacy_fired);
+  // The flow dies at the end of its setup RTT.
+  EXPECT_EQ(sim.now(), Millis(10));
   EXPECT_EQ(sim.flows().active_flows(), 0u);
+}
+
+// A loss abort at the end of setup must not delay other flows: the setup
+// event settles the running flows before it re-plans their completions.
+TEST(FlowFaultTest, SetupLossAbortLeavesOtherFlowsOnTime) {
+  auto run = [](bool with_doomed_flow) {
+    Simulation sim(1);
+    Link* idle = sim.CreateLink("idle", 0, 8'000'000);
+    Link* lossy = sim.CreateLink("lossy", Millis(1), 8'000'000);
+    LinkFaultProfile profile;
+    profile.loss_probability = 0.3;  // x4 abort multiplier => certain abort
+    lossy->SetFaultProfile(profile, sim.faults().SeedFor("lossy"));
+    Result<SimTime> a = InternalError("pending");
+    sim.flows().StartFlow(Route::Through({idle}), 100'000, 1.0, 0,
+                          [&](Result<SimTime> finished) { a = std::move(finished); });
+    Status b = OkStatus();
+    if (with_doomed_flow) {
+      // Doomed at t=52 ms, the end of its 2 ms setup.
+      sim.loop().ScheduleAt(Millis(50), [&] {
+        sim.flows().StartFlow(Route::Through({lossy}), 100'000, 1.0, 0,
+                              [&](Result<SimTime> finished) { b = finished.status(); });
+      });
+    }
+    sim.loop().RunUntilIdle();
+    EXPECT_EQ(b.code(), with_doomed_flow ? StatusCode::kUnavailable : StatusCode::kOk);
+    return a;
+  };
+  for (bool with_doomed_flow : {false, true}) {
+    Result<SimTime> a = run(with_doomed_flow);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    // 100 kB at 1 B/us on a zero-latency link, plus the +1 us ETA rounding.
+    EXPECT_EQ(*a, Micros(100'001)) << "with_doomed_flow=" << with_doomed_flow;
+  }
+}
+
+TEST(FlowFaultDeathTest, EmptyRouteIsRejected) {
+  Simulation sim(1);
+  EXPECT_DEATH(sim.flows().StartFlow(Route{}, 1'000, 1.0, 0, nullptr), "crosses no link");
 }
 
 TEST(FlowFaultTest, CancelDeliversCancelledStatus) {
   Simulation sim(1);
   Link* link = sim.CreateLink("path", Millis(5), 8'000'000);
   Result<SimTime> outcome = InternalError("pending");
-  FlowId id = sim.flows().StartFlow(Route::Through({link}), 1'000'000, 1.0, FlowOptions{},
+  FlowId id = sim.flows().StartFlow(Route::Through({link}), 1'000'000, 1.0, 0,
                                     [&](Result<SimTime> finished) {
                                       outcome = std::move(finished);
                                     });
@@ -489,13 +517,13 @@ TEST(FlowFaultTest, CompletionMayCancelAFlowFinishingAtTheSameInstant) {
   Result<SimTime> b_outcome = InternalError("pending");
   bool cancel_returned = false;
   // Both flows finish in the same Settle; A is retired first.
-  sim.flows().StartFlow(Route::Through({a_link}), 5'000, 1.0, FlowOptions{},
+  sim.flows().StartFlow(Route::Through({a_link}), 5'000, 1.0, 0,
                         [&](Result<SimTime> finished) {
                           ++a_calls;
                           a_outcome = std::move(finished);
                           cancel_returned = sim.flows().CancelFlow(b);
                         });
-  b = sim.flows().StartFlow(Route::Through({b_link}), 5'000, 1.0, FlowOptions{},
+  b = sim.flows().StartFlow(Route::Through({b_link}), 5'000, 1.0, 0,
                             [&](Result<SimTime> finished) {
                               ++b_calls;
                               b_outcome = std::move(finished);
@@ -514,17 +542,16 @@ TEST(FlowFaultTest, CompletionMayCancelAFlowWhoseStallDeadlineIsRunning) {
   Link* l = sim.CreateLink("l", 0, 8'000'000);
   Link* m = sim.CreateLink("m", 0, 8'000'000);
   Link* d = sim.CreateLink("d", 0, 8'000'000);
-  FlowOptions stalling;
-  stalling.stall_timeout = Millis(10);
   int b_calls = 0;
   Result<SimTime> b_outcome = InternalError("pending");
-  FlowId b = sim.flows().StartFlow(Route::Through({l}), 10'000'000, 1.0, stalling,
+  FlowId b = sim.flows().StartFlow(Route::Through({l}), 10'000'000, 1.0,
+                                   /*stall_timeout=*/Millis(10),
                                    [&](Result<SimTime> finished) {
                                      ++b_calls;
                                      b_outcome = std::move(finished);
                                    });
   bool a_done = false;
-  sim.flows().StartFlow(Route::Through({m}), 10'099, 1.0, [&](SimTime) {
+  sim.flows().StartFlow(Route::Through({m}), 10'099, 1.0, 0, [&](Result<SimTime>) {
     a_done = true;
     sim.flows().CancelFlow(b);
   });
@@ -534,7 +561,7 @@ TEST(FlowFaultTest, CompletionMayCancelAFlowWhoseStallDeadlineIsRunning) {
   // callback cancels B while the deadline is still running.
   sim.loop().ScheduleAt(Micros(100), [&] {
     l->SetDown(true);
-    sim.flows().StartFlow(Route::Through({d}), 10, 1.0, [](SimTime) {});
+    sim.flows().StartFlow(Route::Through({d}), 10, 1.0, 0, nullptr);
   });
   sim.loop().ScheduleAt(Micros(200), [&] { l->SetDown(false); });
   sim.loop().RunUntilIdle();
@@ -552,12 +579,12 @@ TEST(FlowFaultTest, CompletionMayCancelAFlowWhoseSetupIsEnding) {
   FlowId c = 0;
   int c_calls = 0;
   Result<SimTime> c_outcome = InternalError("pending");
-  sim.flows().StartFlow(Route::Through({a_link}), 5'000, 1.0,
-                        [&](SimTime) { sim.flows().CancelFlow(c); });
+  sim.flows().StartFlow(Route::Through({a_link}), 5'000, 1.0, 0,
+                        [&](Result<SimTime>) { sim.flows().CancelFlow(c); });
   // C's setup ends at t=5'001, the instant A completes, and runs first: its
   // Settle retires A, whose callback cancels C before C can start.
   sim.loop().ScheduleAt(Micros(4'001), [&] {
-    c = sim.flows().StartFlow(Route::Through({c_link}), 5'000, 1.0, FlowOptions{},
+    c = sim.flows().StartFlow(Route::Through({c_link}), 5'000, 1.0, 0,
                               [&](Result<SimTime> finished) {
                                 ++c_calls;
                                 c_outcome = std::move(finished);
@@ -750,6 +777,56 @@ TEST(TorFaultTest, FetchRetriesOntoAFreshExitAfterExitCrash) {
   EXPECT_EQ(receipt->observed_source, harness.network.relays()[new_exit].ip);
   // The failure path cost at least the fetch stall timeout (30 s default).
   EXPECT_GT(ToSeconds(harness.sim.now() - start), 30.0);
+}
+
+// Every anonymizer kind answers a fetch on a lossy uplink: the aborted
+// flow's Status reaches `done`, exactly once. Incognito, SWEET and Dissent
+// run one flow and pass its kUnavailable on; Tor retries onto fresh
+// attempts until its fetch retry budget is spent.
+TEST(AnonymizerFaultTest, EveryKindReportsLossAbortedFetch) {
+  const std::pair<AnonymizerKind, StatusCode> cases[] = {
+      {AnonymizerKind::kIncognito, StatusCode::kUnavailable},
+      {AnonymizerKind::kSweet, StatusCode::kUnavailable},
+      {AnonymizerKind::kDissent, StatusCode::kUnavailable},
+      {AnonymizerKind::kTor, StatusCode::kResourceExhausted},
+  };
+  for (const auto& [kind, want] : cases) {
+    const std::string name(AnonymizerKindName(kind));
+    TorFaultHarness harness;
+    DissentServers servers(harness.sim);
+    std::unique_ptr<Anonymizer> anonymizer;
+    switch (kind) {
+      case AnonymizerKind::kIncognito:
+        anonymizer = std::make_unique<IncognitoVpn>(harness.Attachment());
+        break;
+      case AnonymizerKind::kSweet:
+        anonymizer = std::make_unique<SweetTunnel>(harness.Attachment(), /*instance_id=*/1);
+        break;
+      case AnonymizerKind::kDissent:
+        anonymizer = std::make_unique<DissentClient>(harness.Attachment(), servers, 9);
+        break;
+      default:
+        anonymizer = std::make_unique<TorClient>(harness.Attachment(), harness.network, 7);
+        break;
+    }
+    harness.AttachGuest(anonymizer.get());
+    anonymizer->Start(nullptr);
+    harness.sim.loop().RunUntilIdle();
+    ASSERT_TRUE(anonymizer->ready()) << name;
+
+    LinkFaultProfile lossy;
+    lossy.loss_probability = 1.0;
+    harness.uplink->SetFaultProfile(lossy, harness.sim.faults().SeedFor("host-uplink"));
+    int calls = 0;
+    Status status = OkStatus();
+    anonymizer->Fetch("files.example.com", 2'000, 100'000, [&](Result<FetchReceipt> r) {
+      ++calls;
+      status = r.status();
+    });
+    harness.sim.loop().RunUntilIdle();
+    EXPECT_EQ(calls, 1) << name;
+    EXPECT_EQ(status.code(), want) << name << ": " << status.ToString();
+  }
 }
 
 // ------------------------------------------------------- VM crash recovery

@@ -579,8 +579,6 @@ std::vector<uint64_t> DriveFlowScenario(Simulation& sim, int steps,
   std::vector<FlowId> issued;
   // Per issued flow, in issue order: every `done` call's status code and time.
   std::vector<std::vector<std::pair<StatusCode, SimTime>>> endings;
-  FlowOptions options;
-  options.stall_timeout = Seconds(5);
   for (int i = 0; i < steps; ++i) {
     std::vector<Link*>& links = clusters[sim.prng().NextBelow(clusters.size())];
     switch (sim.prng().NextBelow(8)) {
@@ -603,7 +601,7 @@ std::vector<uint64_t> DriveFlowScenario(Simulation& sim, int steps,
         const size_t slot = endings.size();
         endings.emplace_back();
         issued.push_back(sim.flows().StartFlow(
-            Route::Through(path), sim.prng().NextInRange(20'000, 400'000), 1.0, options,
+            Route::Through(path), sim.prng().NextInRange(20'000, 400'000), 1.0, Seconds(5),
             [&sim, &endings, slot](Result<SimTime> finished) {
               endings[slot].emplace_back(finished.status().code(), sim.now());
             }));
@@ -665,7 +663,7 @@ TEST(FlowEquivalenceTest, IncrementalMatchesFullRecomputeUnderStress) {
 
   // The incremental scheduler really scheduled incrementally: it skipped
   // clean reschedules, restricted dirty ones to components, and never fell
-  // back to a full pass (no empty-route flows in this scenario).
+  // back to a full pass.
   EXPECT_GT(incremental.flows().waterfill_skips(), 0u);
   EXPECT_GT(incremental.flows().waterfills_component(), 0u);
   EXPECT_EQ(incremental.flows().waterfills_full(), 0u);
@@ -685,26 +683,13 @@ TEST(FlowEquivalenceTest, RepeatedSeedsStayIdentical) {
   }
 }
 
-TEST(FlowEquivalenceTest, EmptyRouteFlowForcesFullWaterfill) {
-  Simulation sim(5);
-  Link* link = sim.CreateLink("uplink", Millis(5), 8'000'000);
-  bool normal_done = false;
-  sim.flows().StartFlow(Route::Through({link}), 100'000, 1.0,
-                        [&](SimTime) { normal_done = true; });
-  bool empty_done = false;
-  sim.flows().StartFlow(Route{}, 50'000, 1.0, [&](SimTime) { empty_done = true; });
-  sim.RunUntil([&] { return normal_done && empty_done; });
-  // The empty-route flow's rate is the global first-round min share, so its
-  // arrival must have forced at least one full pass.
-  EXPECT_GT(sim.flows().waterfills_full(), 0u);
-}
-
 TEST(FlowEquivalenceTest, CleanRescheduleSkipsTheWaterfill) {
   Simulation sim(5);
   Link* link = sim.CreateLink("uplink", Millis(5), 8'000'000);
   int completed = 0;
   for (int i = 0; i < 4; ++i) {
-    sim.flows().StartFlow(Route::Through({link}), 200'000, 1.0, [&](SimTime) { ++completed; });
+    sim.flows().StartFlow(Route::Through({link}), 200'000, 1.0, 0,
+                          [&](Result<SimTime>) { ++completed; });
   }
   sim.RunUntil([&] { return completed == 4; });
   // Every StartFlow triggers a Reschedule before the flow has started (it
